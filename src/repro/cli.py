@@ -39,7 +39,6 @@ from .eval.export import rows_to_csv
 from .eval.reporting import format_series, format_table
 from .lint.baseline import DEFAULT_BASELINE_NAME
 from .lint.report import format_names as lint_format_names
-from .core.preprocess import PREPROCESS_STRATEGIES
 from .network.engine import available_kernels
 
 
@@ -78,22 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print per-phase graph-search statistics "
                            "(searches, cache hits, settled nodes) and "
                            "the engine cache summary")
-    plan.add_argument("--workers", type=int, default=1,
-                      help="process-pool size for the Algorithm 2 fan-out "
-                           "(1 = serial; results are bit-identical)")
     plan.add_argument("--kernel", choices=available_kernels(), default=None,
                       help="search-kernel backend (default: $REPRO_KERNEL, "
                            "then 'python'; results are bit-identical — "
                            "'vectorized' is the fast numpy backend for "
                            "full-scale cities)")
-    plan.add_argument("--preprocess", choices=PREPROCESS_STRATEGIES,
-                      default=None, dest="preprocess_strategy",
-                      help="Algorithm 2 strategy (default: "
-                           "$REPRO_PREPROCESS, then 'inverted', which "
-                           "batches preprocessing into one label field "
-                           "plus candidate balls; 'per-query' is the "
-                           "paper's literal loop — bit-identical plans "
-                           "either way)")
     plan.add_argument("--trace", type=str, default=None, metavar="PATH",
                       help="record a trace of the run and write it in "
                            "Chrome trace-event format (open in "
@@ -106,16 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-c", "--max-adjacent-cost", type=float, default=2.0)
     sweep.add_argument("--csv", type=str, default=None,
                        help="also export the rows to this CSV file")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="process-pool size: parallelizes preprocessing "
-                           "and fans the per-K EBRR runs over workers")
     sweep.add_argument("--kernel", choices=available_kernels(), default=None,
                        help="search-kernel backend for every planner run "
                             "(rows are bit-identical across backends)")
-    sweep.add_argument("--preprocess", choices=PREPROCESS_STRATEGIES,
-                       default=None, dest="preprocess_strategy",
-                       help="Algorithm 2 strategy for every planner run "
-                            "(rows are bit-identical across strategies)")
     sweep.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="record a trace of the sweep and write it in "
                             "Chrome trace-event format")
@@ -177,13 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default C for /v1/plan requests (km)")
     serve.add_argument("--alpha", type=float, default=None,
                        help="utility trade-off (default: calibrated per city)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for preprocessing fan-out")
     serve.add_argument("--kernel", choices=available_kernels(), default=None,
                        help="search-kernel backend for every tenant")
-    serve.add_argument("--preprocess", choices=PREPROCESS_STRATEGIES,
-                       default=None, dest="preprocess_strategy",
-                       help="Algorithm 2 strategy for every tenant")
     serve.add_argument("--cache-capacity", type=int, default=None,
                        help="bound each tenant engine's LRU row cache "
                             "(daemon memory cap; default: engine default)")
@@ -383,17 +359,15 @@ def _write_trace(trace, path: str) -> None:
 
 
 def _resolve_runtime_choices(args) -> int:
-    """Validate kernel/preprocess choices (including the $REPRO_KERNEL
-    / $REPRO_PREPROCESS fallbacks) *before* loading a city, so a typo'd
-    environment variable fails in milliseconds with the choices listed
-    instead of deep inside the engine."""
-    from .core.preprocess import resolve_preprocess_strategy
+    """Validate the kernel choice (including the $REPRO_KERNEL fallback)
+    *before* loading a city, so a typo'd environment variable fails in
+    milliseconds with the choices listed instead of deep inside the
+    engine."""
     from .exceptions import ConfigurationError
     from .network.engine import resolve_kernel
 
     try:
         resolve_kernel(args.kernel)
-        resolve_preprocess_strategy(args.preprocess_strategy)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -413,9 +387,7 @@ def _cmd_plan(args) -> int:
         max_stops=args.max_stops,
         max_adjacent_cost=args.max_adjacent_cost,
         alpha=alpha,
-        workers=args.workers,
         kernel=args.kernel,
-        preprocess_strategy=args.preprocess_strategy,
     )
     if args.trace:
         with tracing() as trace:
@@ -493,9 +465,7 @@ def _cmd_serve(args) -> int:
                 max_stops=args.max_stops,
                 max_adjacent_cost=args.max_adjacent_cost,
                 alpha=args.alpha,
-                workers=args.workers,
                 kernel=args.kernel,
-                preprocess_strategy=args.preprocess_strategy,
                 cache_capacity=args.cache_capacity,
             )
             print(f"loading {city} (scale {args.scale}, warm={warm}) ...")
@@ -551,16 +521,13 @@ def _cmd_sweep(args) -> int:
         with tracing() as trace:
             rows = effect_of_k(
                 dataset, ks, alpha=alpha,
-                max_adjacent_cost=args.max_adjacent_cost,
-                workers=args.workers, kernel=args.kernel,
-                preprocess_strategy=args.preprocess_strategy,
+                max_adjacent_cost=args.max_adjacent_cost, kernel=args.kernel,
             )
         _write_trace(trace, args.trace)
     else:
         rows = effect_of_k(
             dataset, ks, alpha=alpha, max_adjacent_cost=args.max_adjacent_cost,
-            workers=args.workers, kernel=args.kernel,
-            preprocess_strategy=args.preprocess_strategy,
+            kernel=args.kernel,
         )
     for value, title in (
         ("walk_cost", "Walking cost vs K"),

@@ -47,21 +47,12 @@ class EBRRConfig:
             the "w/o the path refinement" variant.
         price_budget_fraction: the stopping constant of Algorithm 1
             (2/3 by default; exposed for sensitivity studies).
-        workers: process-pool size for the Algorithm 2 fan-out of
-            :mod:`repro.parallel` (``1`` = the serial path; results are
-            bit-identical either way).
         kernel: search-kernel backend name (``"python"``,
             ``"vectorized"``); ``None`` defers to the ``REPRO_KERNEL``
             environment variable, then the default.  Backends are
             bit-identical by contract, so this is purely a speed knob.
             The name is a plain string so the config pickles unchanged
-            into :mod:`repro.parallel` workers.
-        preprocess_strategy: Algorithm 2 execution strategy
-            (``"per-query"``, ``"inverted"``); ``None`` defers to the
-            ``REPRO_PREPROCESS`` environment variable, then the
-            default.  Strategies produce equal preprocessing outputs
-            and bit-identical plans (the equivalence suite proves it),
-            so this too is purely a speed knob.
+            into :func:`~repro.parallel.sweep.sweep_plans` workers.
         cache_capacity: bound on the :class:`~repro.network.engine.
             SearchEngine` row-cache (LRU entries; the point cache is
             bounded at 4x).  ``None`` keeps the engine's default.
@@ -80,9 +71,7 @@ class EBRRConfig:
     use_lower_bound_price: bool = True
     refine_path: bool = True
     price_budget_fraction: float = DEFAULT_PRICE_BUDGET_FRACTION
-    workers: int = 1
     kernel: Optional[str] = None
-    preprocess_strategy: Optional[str] = None
     cache_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -101,10 +90,6 @@ class EBRRConfig:
                 "price_budget_fraction must be in (0, 1], got "
                 f"{self.price_budget_fraction}"
             )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ConfigurationError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
@@ -119,12 +104,6 @@ class EBRRConfig:
                     f"unknown search kernel {self.kernel!r}; available: "
                     f"{', '.join(available_kernels())}"
                 )
-        if self.preprocess_strategy is not None:
-            # Same lazy-import discipline: preprocess owns the strategy
-            # registry and validates the name.
-            from .preprocess import resolve_preprocess_strategy
-
-            resolve_preprocess_strategy(self.preprocess_strategy)
 
     @property
     def price_budget(self) -> float:

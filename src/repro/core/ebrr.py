@@ -91,12 +91,7 @@ def plan_route(
         # Line 1: preprocessing.
         with obs_trace.begin("preprocess", {"reused": preprocess is not None}):
             if preprocess is None:
-                preprocess = preprocess_queries(
-                    instance,
-                    engine=engine,
-                    workers=config.workers,
-                    strategy=config.preprocess_strategy,
-                )
+                preprocess = preprocess_queries(instance, engine=engine)
 
         # Lines 2-7: greedy selection. (run_selection builds its own
         # state; we rebuild an identical one afterwards for refinement

@@ -1,14 +1,14 @@
 """Query preprocessing — Algorithm 2 of the paper.
 
-The **per-query** strategy is the paper's literal loop: one truncated
-Dijkstra per *distinct* query node, settling outward until it reaches
-the first existing stop ``nn(q)`` (the nearest one, by the Dijkstra
-property) and recording every candidate stop settled on the way
-together with its distance.  Those candidates are exactly the stops
-whose selection would reduce this query's walking cost, i.e. the query
-belongs to their reverse-nearest-neighbour sets ``RNN(v)``.
+The paper's loop runs one truncated Dijkstra per *distinct* query node,
+settling outward until it reaches the first existing stop ``nn(q)``
+(the nearest one, by the Dijkstra property) and recording every
+candidate stop settled on the way together with its distance.  Those
+candidates are exactly the stops whose selection would reduce this
+query's walking cost, i.e. the query belongs to their
+reverse-nearest-neighbour sets ``RNN(v)``.
 
-The **inverted** strategy computes the same table without the ``|Q|``
+:func:`preprocess_queries` computes the same table without the ``|Q|``
 sequential searches: one multi-source label field from all existing
 stops gives every node its ``nn`` distance and nearest-stop label in a
 single pass, forward replay turns those into each query's per-query
@@ -21,15 +21,15 @@ association, so its member distances need no replay; the settle-order
 cutoff ``(d, v) < (nn(q), nn_stop(q))`` is applied inside the kernel.
 The batched search returns *columnar* output, and the merge and
 utility folds below stay columnar too (stable grouping by candidate,
-exact left-fold accumulation), so the strategy is array-native end to
-end.  The two strategies produce equal ``nn_distance``/``rnn``/
-``initial_utility`` contents and bit-identical downstream
-``EBRRResult``s (see DESIGN.md "Batched preprocessing" for the
-inversion argument and the generic-position caveat).  Select via
-``strategy=`` / ``EBRRConfig.preprocess_strategy`` / ``--preprocess`` /
-``$REPRO_PREPROCESS``; the default is ``inverted`` (flipped after the
-parity gates soaked in CI since the strategy landed), with
-``per-query`` kept as the explicit opt-out.
+exact left-fold accumulation), so the path is array-native end to end.
+
+:func:`per_query_preprocess` keeps the paper's literal loop as the
+oracle: the equivalence suite asserts that both functions produce equal
+``nn_distance``/``rnn``/``initial_utility`` contents and bit-identical
+downstream ``EBRRResult``s (see DESIGN.md "Batched preprocessing" for
+the inversion argument and the generic-position caveat), and the
+inverted-preprocessing bench times against it.  The planner never runs
+it.
 
 The output powers the whole selection phase:
 
@@ -47,9 +47,8 @@ its count in the multiset ``Q``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,48 +57,7 @@ from ..network.engine import QuerySearchRow, SearchEngine, engine_for
 from ..obs import current_trace, span
 from .utility import BRRInstance
 
-#: The Algorithm 2 execution strategies (see the module docstring).
-PREPROCESS_STRATEGIES: Tuple[str, ...] = ("per-query", "inverted")
-
-#: Strategy used when neither the caller nor ``$REPRO_PREPROCESS``
-#: picks one.  ``inverted`` since the CI parity gates proved it
-#: bit-identical to ``per-query`` across kernels and worker counts;
-#: pass ``--preprocess per-query`` (or set ``$REPRO_PREPROCESS``) to
-#: opt back out.
-DEFAULT_PREPROCESS_STRATEGY = "inverted"
-
 _INF = math.inf
-
-
-def resolve_preprocess_strategy(strategy: Optional[str] = None) -> str:
-    """Resolve a preprocessing-strategy name.
-
-    ``None`` falls back to ``$REPRO_PREPROCESS`` and then to
-    :data:`DEFAULT_PREPROCESS_STRATEGY` — same resolution shape as the
-    kernel registry, so CI can flip a whole test run with one
-    environment variable.
-
-    Raises:
-        ConfigurationError: for unknown strategy names, listing the
-            valid choices and naming ``$REPRO_PREPROCESS`` when the bad
-            value came from the environment (mirrors the ``--preprocess``
-            CLI flag's choice validation).
-    """
-    source = ""
-    if strategy is None:
-        env_value = os.environ.get("REPRO_PREPROCESS", "").strip()
-        strategy = env_value or DEFAULT_PREPROCESS_STRATEGY
-        if env_value:
-            source = " (from $REPRO_PREPROCESS)"
-    else:
-        strategy = strategy.strip()
-    if strategy not in PREPROCESS_STRATEGIES:
-        known = ", ".join(PREPROCESS_STRATEGIES)
-        raise ConfigurationError(
-            f"unknown preprocess strategy {strategy!r}{source} "
-            f"(known: {known})"
-        )
-    return strategy
 
 
 @dataclass
@@ -115,25 +73,21 @@ class PreprocessResult:
         initial_utility: ``U({v})`` for every stop in
             ``S_new ∪ S_existing`` (walking gain for candidates,
             ``α · |routes(v)|`` for existing stops).
-        searches: number of Dijkstra searches performed.  Strategy
-            defined, worker-count independent: the per-query path runs
-            one search per distinct query node (``= len(nn_distance)``);
-            the inverted path runs one multi-source field search plus
-            one query-rooted ball per distinct query node
+        searches: number of Dijkstra searches performed.
+            :func:`preprocess_queries` runs one multi-source field
+            search plus one query-rooted ball per distinct query node
             (``= 1 + len(nn_distance)``), and ``0`` when there are no
-            query nodes at all (no field is built).
+            query nodes at all (no field is built); the
+            :func:`per_query_preprocess` oracle runs one search per
+            distinct query node (``= len(nn_distance)``).
         settled_nodes: total nodes settled over all searches (the
-            ``|Q| · T1`` term of Theorem 5).  Per-query: each search
-            settles its candidate prefix plus the terminating existing
-            stop (``len(visited) + 1`` per query).  Inverted: the
-            field settles every reachable node once, and each query
-            ball settles its pruned reached set
-            (``reachable + Σ |ball(q)|``).  Both definitions count
-            *nodes*, not implementation steps, so they are identical
-            across kernel backends and across serial/fan-out
-            execution.
-        strategy: the strategy that produced this result (carried so
-            ``update_preprocess`` copies keep their provenance).
+            ``|Q| · T1`` term of Theorem 5).  The field settles every
+            reachable node once, and each query ball settles its pruned
+            reached set (``reachable + Σ |ball(q)|``); each oracle
+            search settles its candidate prefix plus the terminating
+            existing stop (``len(visited) + 1`` per query).  Both
+            definitions count *nodes*, not implementation steps, so
+            they are identical across kernel backends.
     """
 
     nn_distance: Dict[int, float] = field(default_factory=dict)
@@ -141,7 +95,6 @@ class PreprocessResult:
     initial_utility: Dict[int, float] = field(default_factory=dict)
     searches: int = 0
     settled_nodes: int = 0
-    strategy: str = DEFAULT_PREPROCESS_STRATEGY
 
     def utility_order(self) -> List[Tuple[float, int]]:
         """``(U(v), v)`` pairs in decreasing utility order — the queue
@@ -156,24 +109,14 @@ def preprocess_queries(
     instance: BRRInstance,
     *,
     engine: Optional[SearchEngine] = None,
-    workers: int = 1,
-    strategy: Optional[str] = None,
 ) -> PreprocessResult:
-    """Run Algorithm 2 on ``instance``.
+    """Run Algorithm 2 on ``instance`` (the inverted, batched path; see
+    the module docstring).
 
     Args:
         instance: the BRR instance.
         engine: the search engine to run the searches on; defaults to
             the instance network's shared engine.
-        workers: shard the independent searches (per-query: the query
-            Dijkstras; inverted: the candidate balls) across this many
-            worker processes (see :mod:`repro.parallel`).  The default
-            ``1`` runs in-process; any value produces bit-identical
-            results, and the worker search counts are folded back into
-            ``engine``'s ``preprocess`` profile either way.
-        strategy: ``"per-query"`` or ``"inverted"`` (see the module
-            docstring); ``None`` resolves via ``$REPRO_PREPROCESS``
-            then the default.
 
     Returns:
         A :class:`PreprocessResult`; see its attribute docs.
@@ -181,105 +124,104 @@ def preprocess_queries(
     Raises:
         GraphError: if some query node cannot reach any existing stop
             (the instance is malformed — Definition 5 needs ``nn(q)``).
-        ConfigurationError: if ``workers < 1``, the strategy is
-            unknown, or a candidate stop is also an existing stop (the
-            utilities of lines 11-16 would silently overwrite each
-            other).
+        ConfigurationError: if a candidate stop is also an existing
+            stop (the utilities of lines 11-16 would silently overwrite
+            each other).
     """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    strategy = resolve_preprocess_strategy(strategy)
-    result = PreprocessResult(strategy=strategy)
     if engine is None:
         engine = engine_for(instance.network)
-    counts = instance.query_counts
     _check_disjoint_stops(instance)
+    result = PreprocessResult()
 
-    # Lines 1-10, by either strategy.  Both produce the same table —
-    # same floats, same RNN list order, same dict insertion order —
-    # regardless of strategy or workers; the inverted path merges its
-    # columnar search output with array passes instead of a per-pair
-    # python loop (see _group_by_candidate for the ordering argument).
-    table: Optional[_InvertedTable] = None
-    with span(
-        "preprocess.searches",
-        queries=len(counts),
-        workers=workers,
-        strategy=strategy,
-    ):
-        if strategy == "inverted":
-            table = _inverted_search(instance, engine, result, workers)
-            result.nn_distance.update(zip(table.nodes, table.nn_forward))
-            for candidate, start, end in table.groups:
-                result.rnn[candidate] = list(
-                    zip(table.qs[start:end], table.ds[start:end])
-                )
-        else:
-            rows = _per_query_search(instance, engine, result, workers)
-            for query_node, _nn_stop, nn_dist, visited in rows:
-                result.nn_distance[query_node] = nn_dist
-                for candidate, dist in visited:
-                    result.rnn.setdefault(candidate, []).append(
-                        (query_node, dist)
-                    )
+    # Lines 1-10: the same table the per-query loop builds — same
+    # floats, same RNN list order, same dict insertion order — merged
+    # from the columnar search output with array passes instead of a
+    # per-pair python loop (see _group_by_candidate for the ordering
+    # argument).
+    with span("preprocess.searches", queries=len(instance.query_counts)):
+        table = _inverted_search(instance, engine, result)
+        result.nn_distance.update(zip(table.nodes, table.nn_forward))
+        for candidate, start, end in table.groups:
+            result.rnn[candidate] = list(
+                zip(table.qs[start:end], table.ds[start:end])
+            )
 
     with span("preprocess.utilities"):
         # Lines 11-14: initial utilities of candidate stops.
-        if table is not None:
-            _inverted_utilities(table, instance, result)
-        else:
-            for candidate, entries in result.rnn.items():
-                gain = 0.0
-                for query_node, dist in entries:
-                    gain += counts[query_node] * (
-                        result.nn_distance[query_node] - dist
-                    )
-                result.initial_utility[candidate] = gain
-        # Candidates never visited by any search have zero walking gain.
-        for candidate in instance.candidates:
-            result.initial_utility.setdefault(candidate, 0.0)
-
-        # Lines 15-16: initial utilities of existing stops.
-        for stop in instance.existing_stops:
-            result.initial_utility[stop] = (
-                instance.alpha * instance.transit.degree(stop)
-            )
+        _inverted_utilities(table, instance, result)
+        _fill_utilities(instance, result)
 
     return result
 
 
-def _per_query_search(
+def per_query_preprocess(
     instance: BRRInstance,
-    engine: SearchEngine,
-    result: PreprocessResult,
-    workers: int,
-) -> List[QuerySearchRow]:
-    """The paper's literal loop: one early-terminated Dijkstra per
-    distinct query node (fanned over workers when asked)."""
-    is_existing = instance.is_existing
-    is_candidate = instance.is_candidate
-    nodes = list(instance.query_counts)
-    rows: List[QuerySearchRow]
-    if workers > 1:
-        # Deterministic fan-out: rows come back in `counts` order (see
-        # repro.parallel.fanout), bit-identical to the serial loop.
-        from ..parallel.fanout import run_query_searches
+    *,
+    engine: Optional[SearchEngine] = None,
+) -> PreprocessResult:
+    """The paper's literal Algorithm 2 loop: one early-terminated
+    Dijkstra per distinct query node, merged pair by pair.
 
-        rows, worker_stats = run_query_searches(
-            instance.network, is_existing, is_candidate, nodes,
-            workers=workers, kernel=engine.kernel_name,
+    This is the oracle :func:`preprocess_queries` is checked and timed
+    against — same arguments, same errors, equal output (only the
+    documented ``searches``/``settled_nodes`` accounting differs).  No
+    config field, flag or environment variable selects it.
+    """
+    if engine is None:
+        engine = engine_for(instance.network)
+    _check_disjoint_stops(instance)
+    result = PreprocessResult()
+    counts = instance.query_counts
+    rows = query_search_rows(
+        engine,
+        list(counts),
+        instance.is_existing,
+        instance.is_candidate,
+        phase="preprocess",
+    )
+    result.searches = len(rows)
+    result.settled_nodes = sum(len(visited) + 1 for _q, _s, _d, visited in rows)
+    for query_node, _nn_stop, nn_dist, visited in rows:
+        result.nn_distance[query_node] = nn_dist
+        for candidate, dist in visited:
+            result.rnn.setdefault(candidate, []).append((query_node, dist))
+    for candidate, entries in result.rnn.items():
+        gain = 0.0
+        for query_node, dist in entries:
+            gain += counts[query_node] * (result.nn_distance[query_node] - dist)
+        result.initial_utility[candidate] = gain
+    _fill_utilities(instance, result)
+    return result
+
+
+def query_search_rows(
+    engine: SearchEngine,
+    nodes: Sequence[int],
+    is_existing: Sequence[bool],
+    is_candidate: Sequence[bool],
+    *,
+    phase: str,
+) -> List[QuerySearchRow]:
+    """The paper's per-query search for each of ``nodes``, in order:
+    one :meth:`SearchEngine.query_search` row per node.  Shared by the
+    :func:`per_query_preprocess` oracle and the added-node searches of
+    :func:`repro.core.update.update_preprocess`."""
+    rows: List[QuerySearchRow] = []
+    for node in nodes:
+        nn_stop, nn_dist, visited = engine.query_search(
+            node, is_existing, is_candidate, phase=phase
         )
-        engine.absorb("preprocess", worker_stats)
-    else:
-        rows = []
-        for query_node in nodes:
-            nn_stop, nn_dist, visited = engine.query_search(
-                query_node, is_existing, is_candidate, phase="preprocess"
-            )
-            rows.append((query_node, nn_stop, nn_dist, list(visited)))
-    result.searches += len(rows)
-    result.settled_nodes += sum(len(visited) + 1 for _q, _s, _d, visited in rows)
+        rows.append((node, nn_stop, nn_dist, visited))
     return rows
+
+
+def _fill_utilities(instance: BRRInstance, result: PreprocessResult) -> None:
+    """The rest of lines 11-16: zero gain for candidates no search
+    reached, then ``α · degree`` for every existing stop."""
+    for candidate in instance.candidates:
+        result.initial_utility.setdefault(candidate, 0.0)
+    for stop in instance.existing_stops:
+        result.initial_utility[stop] = instance.alpha * instance.transit.degree(stop)
 
 
 @dataclass
@@ -306,12 +248,10 @@ def _inverted_search(
     instance: BRRInstance,
     engine: SearchEngine,
     result: PreprocessResult,
-    workers: int,
 ) -> _InvertedTable:
-    """The inverted strategy: one multi-source label field from the
-    existing stops hands every query its truncation radius, then one
-    batched query-rooted ball per distinct query node (fanned over
-    workers when asked), then a columnar regroup by candidate."""
+    """One multi-source label field from the existing stops hands every
+    query its truncation radius, then one batched query-rooted ball per
+    distinct query node, then a columnar regroup by candidate."""
     nodes = list(instance.query_counts)
     if not nodes:
         return _InvertedTable([], [], [], [], [])
@@ -333,23 +273,10 @@ def _inverted_search(
                 label_field.reachable
             )
     labels = [label_field.label[node] for node in nodes]
-    is_candidate = instance.is_candidate
-    with span("preprocess.balls", queries=len(nodes), workers=workers):
-        if workers > 1:
-            from ..parallel.fanout import run_query_rows
-
-            columns, worker_stats = run_query_rows(
-                instance.network, nodes, nn_forward, labels, is_candidate,
-                workers=workers, kernel=engine.kernel_name,
-            )
-            member_counts, member_nodes, member_dists, settled = columns
-            engine.absorb("preprocess", worker_stats)
-        else:
-            member_counts, member_nodes, member_dists, settled = (
-                engine.batch_query_rows(
-                    nodes, nn_forward, labels, is_candidate, phase="preprocess"
-                )
-            )
+    with span("preprocess.balls", queries=len(nodes)):
+        member_counts, member_nodes, member_dists, settled = engine.batch_query_rows(
+            nodes, nn_forward, labels, instance.is_candidate, phase="preprocess"
+        )
         ball_nodes = sum(settled)
         if active is not None:
             active.metrics.counter("preprocess.balls.count").inc(len(nodes))
@@ -415,8 +342,8 @@ def _inverted_utilities(
     vectorized pass, then one exact **left-fold** per candidate group
     via ``np.add.accumulate`` — the ufunc is defined sequentially
     (``out[i] = out[i-1] + in[i]``), so each group's final prefix sum
-    is bit-identical to the per-query strategy's ``gain += term``
-    python fold over the same terms in the same order."""
+    is bit-identical to the oracle's ``gain += term`` python fold over
+    the same terms in the same order."""
     if not table.groups:
         return
     counts = instance.query_counts

@@ -13,11 +13,11 @@ reuse the preprocessing; this module makes *demand* changes cheap too:
 
 The update runs in time proportional to the *changed* demand, not the
 whole multiset — the benchmark shows the gap against full recomputation.
-The added-node searches therefore stay on the per-query path regardless
-of ``PreprocessResult.strategy`` (an inverted pass costs one field plus
-one ball per candidate — not change-proportional); a *full* inverted
-re-preprocess after stop additions still reuses the engine's cached
-label field via incremental repair (see
+The added-node searches therefore run the paper's per-query search
+(:func:`~repro.core.preprocess.query_search_rows`), whose cost scales
+with the number of added nodes; a *full* re-preprocess after stop
+additions still reuses the engine's cached label field via incremental
+repair (see
 :meth:`~repro.network.engine.SearchEngine.multi_source_labels`).
 """
 
@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 from ..demand.query import QuerySet
 from ..network.engine import engine_for
 from ..obs import span
-from .preprocess import PreprocessResult
+from .preprocess import PreprocessResult, query_search_rows
 from .utility import BRRInstance
 
 
@@ -54,8 +54,6 @@ def update_preprocess(
     instance: BRRInstance,
     preprocess: PreprocessResult,
     new_queries: QuerySet,
-    *,
-    workers: int = 1,
 ) -> Tuple[BRRInstance, PreprocessResult, UpdateStats]:
     """Produce the instance + preprocessing for a changed demand.
 
@@ -63,9 +61,6 @@ def update_preprocess(
         instance: the instance ``preprocess`` was computed for.
         preprocess: a full Algorithm 2 result for ``instance``.
         new_queries: the updated demand multiset (same road network).
-        workers: shard the added-node Algorithm 2 searches across this
-            many worker processes (see :mod:`repro.parallel`); ``1``
-            keeps them in-process on the shared engine.
 
     Returns:
         ``(new_instance, new_preprocess, stats)``.  The inputs are not
@@ -73,9 +68,9 @@ def update_preprocess(
         :func:`repro.core.preprocess.preprocess_queries` from scratch on
         the new instance (the test suite asserts this).
     """
-    with span("update", workers=workers) as update_span:
+    with span("update") as update_span:
         new_instance, result, stats = _apply_update(
-            instance, preprocess, new_queries, workers=workers
+            instance, preprocess, new_queries
         )
         update_span.set(
             rescaled=stats.rescaled_nodes,
@@ -90,8 +85,6 @@ def _apply_update(
     instance: BRRInstance,
     preprocess: PreprocessResult,
     new_queries: QuerySet,
-    *,
-    workers: int,
 ) -> Tuple[BRRInstance, PreprocessResult, UpdateStats]:
     new_instance = BRRInstance(
         instance.transit,
@@ -110,7 +103,6 @@ def _apply_update(
         initial_utility=dict(preprocess.initial_utility),
         searches=preprocess.searches,
         settled_nodes=preprocess.settled_nodes,
-        strategy=preprocess.strategy,
     )
 
     # Reverse index: query node -> [(candidate, dist)], for O(changed)
@@ -163,34 +155,16 @@ def _apply_update(
             del result.nn_distance[node]
 
     # Pass 3 — brand-new distinct nodes: one Algorithm 2 search each,
-    # fanned out across workers when asked (bit-identical either way;
-    # the worker search counts land in the engine's `update` profile).
+    # accounted to the engine's `update` profile.
     added = [node for node in new_counts if node not in old_counts]
     if added:
-        engine = engine_for(new_instance.network)
-        rows: List[Tuple[int, int, float, List[Tuple[int, float]]]]
-        if workers > 1:
-            from ..parallel.fanout import run_query_searches
-
-            rows, worker_stats = run_query_searches(
-                new_instance.network,
-                new_instance.is_existing,
-                new_instance.is_candidate,
-                added,
-                workers=workers,
-                kernel=engine.kernel_name,
-            )
-            engine.absorb("update", worker_stats)
-        else:
-            rows = []
-            for node in added:
-                nn_stop, nn_dist, visited = engine.query_search(
-                    node,
-                    new_instance.is_existing,
-                    new_instance.is_candidate,
-                    phase="update",
-                )
-                rows.append((node, nn_stop, nn_dist, list(visited)))
+        rows = query_search_rows(
+            engine_for(new_instance.network),
+            added,
+            new_instance.is_existing,
+            new_instance.is_candidate,
+            phase="update",
+        )
         for node, _nn_stop, nn_dist, visited in rows:
             new = new_counts[node]
             result.nn_distance[node] = nn_dist

@@ -7,6 +7,7 @@ The benchmarks in ``benchmarks/`` are thin wrappers around these.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.base import RoutePlanner
@@ -40,6 +41,10 @@ def scaled_alpha(dataset: CityDataset, paper_alpha: float) -> float:
     return max(paper_alpha * len(dataset.queries) / paper_q, 1e-6)
 
 
+#: ``(id(dataset), top_k)`` -> mean top-k candidate gain.  CPython
+#: reuses an id once its object is freed, so each entry is dropped by a
+#: finalizer when its dataset is — a later dataset at the same address
+#: must never read another city's value.
 _ALPHA_CACHE: Dict[Tuple[int, int], float] = {}
 
 
@@ -57,7 +62,7 @@ def calibrated_alpha(
     reproduces the paper's regime where EBRR mixes demand stops with
     transfer hubs.  The 0.25 default makes a four-route hub worth one
     top demand stop — calibrated so EBRR dominates the baselines on
-    *both* axes across K, as in Figs. 7/8.  Cached per (dataset,
+    *both* axes across K, as in Figs. 7/8.  Cached per live (dataset,
     top_k); ``balance`` rescales the cached base value.
     """
     if balance <= 0:
@@ -74,6 +79,7 @@ def calibrated_alpha(
         top = gains[: max(1, top_k)]
         mean_gain = sum(top) / len(top)
         _ALPHA_CACHE[key] = max(mean_gain, 1e-6)
+        weakref.finalize(dataset, _ALPHA_CACHE.pop, key, None)
     return balance * _ALPHA_CACHE[key]
 
 
@@ -117,18 +123,12 @@ def effect_of_k(
     max_adjacent_cost: float = 2.0,
     planners: Optional[Sequence[RoutePlanner]] = None,
     seed: int = 0,
-    workers: int = 1,
     kernel: Optional[str] = None,
-    preprocess_strategy: Optional[str] = None,
 ) -> List[Row]:
     """One row per (K, algorithm): walking cost (Fig. 7), connectivity
     (Fig. 8), and execution time (Fig. 13) on the full demand.
-    ``workers > 1`` fans the Algorithm 2 preprocessing over a process
-    pool (see :mod:`repro.parallel`); the rows are identical.
-    ``kernel`` picks the search backend and ``preprocess_strategy`` the
-    Algorithm 2 execution strategy (also identical rows — both are
-    speed knobs; see :mod:`repro.network.kernels` and
-    :mod:`repro.core.preprocess`)."""
+    ``kernel`` picks the search backend (identical rows — it is a speed
+    knob; see :mod:`repro.network.kernels`)."""
     if planners is None:
         planners = default_planners(seed=seed)
     instance = dataset.instance(alpha)
@@ -136,8 +136,7 @@ def effect_of_k(
     for k in ks:
         config = EBRRConfig(
             max_stops=k, max_adjacent_cost=max_adjacent_cost, alpha=alpha,
-            workers=workers, kernel=kernel,
-            preprocess_strategy=preprocess_strategy,
+            kernel=kernel,
         )
         with span("effect_of_k", dataset=dataset.name, K=k):
             plans = run_planners(

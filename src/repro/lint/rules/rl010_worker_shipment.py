@@ -106,7 +106,7 @@ class WorkerShipmentRule(ProjectRule):
                 path, sub.lineno, sub.col,
                 "pool arguments construct a live SearchEngine; workers "
                 "must build their own engine from the network pickle "
-                "(see the pool initializers in repro.parallel.fanout)",
+                "(see the pool initializer in repro.parallel.sweep)",
             )
             return
         enclosing = (

@@ -70,7 +70,6 @@ __all__ = [
     "IncrementalNearest",
     "LabelField",
     "QuerySearchRow",
-    "finalize_query_rows",
     "engine_for",
     "DEFAULT_KERNEL",
     "KERNEL_IDS",
@@ -81,9 +80,7 @@ __all__ = [
 
 #: One Algorithm 2 search result, keyed by its query node:
 #: ``(query_node, nn_stop, nn_dist, [(candidate, dist), ...])`` —
-#: exactly what :meth:`SearchEngine.query_search` returns.  Produced by
-#: the per-query path (``query_search`` per node) and the inverted path
-#: (:meth:`SearchEngine.batch_query_search`) alike.
+#: :meth:`SearchEngine.query_search`'s result prefixed with its node.
 QuerySearchRow = Tuple[int, int, float, List[Tuple[int, float]]]
 
 INF = math.inf
@@ -343,10 +340,10 @@ class SearchEngine:
 
     def absorb(self, phase: str, stats: SearchStats) -> None:
         """Fold search work executed *outside* this engine into the
-        ``phase`` counters — the fan-out contract of
-        :mod:`repro.parallel`: worker processes run their chunks on
-        private engines and ship their :class:`SearchStats` back, so the
-        owning engine's profile (``--profile-searches``) reports the
+        ``phase`` counters — the fold-back contract of
+        :func:`~repro.parallel.sweep.sweep_plans`: worker processes plan
+        on private engines and ship their :class:`SearchStats` back, so
+        the owning engine's profile (``--profile-searches``) reports the
         same totals wherever the searches actually ran."""
         counters = self.counters(phase)
         counters.searches += stats.searches
@@ -692,23 +689,6 @@ class SearchEngine:
             self._csr, field.distance, list(targets), stats
         )
 
-    def candidate_rnn_balls(
-        self,
-        candidates: Sequence[int],
-        nn_distance: Sequence[float],
-        is_query: Sequence[bool],
-        *,
-        phase: str = "adhoc",
-    ) -> List[Tuple[List[Tuple[int, float]], int]]:
-        """One pruned RNN ball per candidate stop (see the kernel
-        contract).  Uncached — the result depends on the instance's
-        demand mask, not only on the graph."""
-        self._sync()
-        stats = self.counters(phase)
-        return self._kernel.candidate_rnn_balls(
-            self._csr, list(candidates), nn_distance, is_query, stats
-        )
-
     def batch_query_rows(
         self,
         query_nodes: Sequence[int],
@@ -735,61 +715,6 @@ class SearchEngine:
             is_candidate_stop,
             stats,
         )
-
-    def batch_query_search(
-        self,
-        query_nodes: Sequence[int],
-        is_existing_stop: Sequence[bool],
-        is_candidate_stop: Sequence[bool],
-        *,
-        phase: str = "adhoc",
-    ) -> List[QuerySearchRow]:
-        """The inverted Algorithm 2: every per-query search of
-        ``query_nodes`` answered by one label field plus one
-        query-rooted ball per node (:meth:`batch_query_rows`),
-        returning one :data:`QuerySearchRow` per node in the input
-        order — bit-identical (in generic position) to calling
-        :meth:`query_search` per node, including the settle order of
-        each row's candidate list.
-
-        Raises:
-            GraphError: if some query node cannot reach an existing
-                stop (first such node in input order, as the per-query
-                loop would).
-        """
-        self._sync()
-        stats = self.counters(phase)
-        nodes = list(query_nodes)
-        if not nodes:
-            return []
-        stops = [i for i, flag in enumerate(is_existing_stop) if flag]
-        field = self.multi_source_labels(stops, phase=phase)
-        nn_forward = self._kernel.forward_replay(
-            self._csr, field.distance, nodes, stats
-        )
-        for node, nn_dist in zip(nodes, nn_forward):
-            if nn_dist == INF:
-                raise GraphError(
-                    f"no existing bus stop reachable from query node {node}"
-                )
-        labels = [field.label[node] for node in nodes]
-        counts, member_nodes, member_dists, _settled = self._kernel.batch_query_rows(
-            self._csr, nodes, nn_forward, labels, is_candidate_stop, stats
-        )
-        rows: List[QuerySearchRow] = []
-        pos = 0
-        for i, node in enumerate(nodes):
-            end = pos + counts[i]
-            rows.append(
-                (
-                    node,
-                    labels[i],
-                    nn_forward[i],
-                    list(zip(member_nodes[pos:end], member_dists[pos:end])),
-                )
-            )
-            pos = end
-        return rows
 
     def nodes_within(
         self,
@@ -862,44 +787,6 @@ class IncrementalNearest:
 
     def __getitem__(self, node: int) -> float:
         return self.distance[node]
-
-
-def finalize_query_rows(
-    query_nodes: Sequence[int],
-    field: LabelField,
-    nn_forward: Sequence[float],
-    candidates: Sequence[int],
-    balls: Sequence[Tuple[List[Tuple[int, float]], int]],
-) -> List[QuerySearchRow]:
-    """Assemble per-query :data:`QuerySearchRow` rows from the inverted
-    primitives — the pure merge step shared by the serial and fan-out
-    inverted paths.
-
-    For each candidate ball, a query node ``q`` in the ball belongs to
-    the candidate's RNN set iff ``(forward_dist, candidate)`` is
-    lexicographically below ``(nn_forward(q), nn_stop(q))`` — exactly the
-    per-query search's settle-order cutoff (the existing stop settles at
-    ``(nn_dist, nn_stop)`` and ends the search).  Each query's candidate
-    list is then sorted by ``(dist, candidate)``, reproducing the
-    per-query settle order bit-for-bit.
-    """
-    index = {q: i for i, q in enumerate(query_nodes)}
-    per_query: List[List[Tuple[float, int]]] = [[] for _ in query_nodes]
-    for candidate, (members, _settled) in zip(candidates, balls):
-        for node, fwd in members:
-            i = index.get(node)
-            if i is None:
-                continue
-            q = query_nodes[i]
-            if (fwd, candidate) < (nn_forward[i], field.label[q]):
-                per_query[i].append((fwd, candidate))
-    rows: List[QuerySearchRow] = []
-    for i, q in enumerate(query_nodes):
-        entries = sorted(per_query[i])
-        rows.append(
-            (q, field.label[q], nn_forward[i], [(c, d) for d, c in entries])
-        )
-    return rows
 
 
 def engine_for(

@@ -40,16 +40,16 @@ with strictly positive edge costs:
 The inverted-preprocessing primitives
 -------------------------------------
 
-``multi_source_labels``, ``forward_replay`` and ``candidate_rnn_balls``
-batch Algorithm 2 by inverting it: instead of ``|Q|`` per-query
-Dijkstras, one backward multi-source field from the existing stops plus
-one bounded ball per candidate stop.  They rely on the
+``multi_source_labels`` and ``forward_replay`` start batching
+Algorithm 2 by inverting it: instead of learning each query's nearest
+existing stop from its own Dijkstra, one backward multi-source field
+from the existing stops labels every node at once.  They rely on the
 :class:`~repro.network.graph.RoadNetwork` invariant that the graph is
 **undirected** (both arcs of every edge are in the CSR with the same
-cost), so a distance accumulated *from* a stop/candidate equals — in
-exact arithmetic — the distance the per-query search accumulates
-*towards* it.  In IEEE-754 the two accumulation orders differ in the
-last ulps, which is why every float these primitives *emit* is
+cost), so a distance accumulated *from* a stop equals — in exact
+arithmetic — the distance the per-query search accumulates *towards*
+it.  In IEEE-754 the two accumulation orders differ in the last ulps,
+which is why the nearest-stop distance handed to each query is
 re-accumulated in **forward order** (from the query side) along the
 canonical tight shortest-path tree of the field:
 
@@ -69,11 +69,10 @@ canonical tight shortest-path tree of the field:
   only the measure-zero in-between (distinct paths equal in backward
   float order but not forward) can differ, documented in DESIGN.md.
 
-``batch_query_rows`` is the fourth inverted primitive and the one the
-inverted strategy actually runs at scale: once the label field has
-replayed every query's truncation radius ``nn_forward(q)``, the ``|Q|``
-per-query searches become **query-rooted balls** — one pruned
-relaxation per query node, all batchable over the product graph
+``batch_query_rows`` is the third inverted primitive: once the label
+field has replayed every query's truncation radius ``nn_forward(q)``,
+the ``|Q|`` per-query searches become **query-rooted balls** — one
+pruned relaxation per query node, all batchable over the product graph
 because the radius is known *up front* (the per-query loop only learns
 it when the first existing stop settles, which is what made it
 unbatchable).  A query ball accumulates distances *from the query
@@ -225,36 +224,6 @@ class SearchKernel(Protocol):
         unreachable).  A post-pass, not a search: no counters move."""
         ...
 
-    def candidate_rnn_balls(
-        self,
-        csr: "CSRAdjacency",
-        candidates: Sequence[int],
-        nn_distance: Sequence[float],
-        is_query: Sequence[bool],
-        stats: "SearchStats",
-    ) -> List[Tuple[List[Tuple[int, float]], int]]:
-        """One pruned Dijkstra ball per candidate stop ``v``:
-        expansion is gated at push time to nodes ``x`` with
-        ``d(v, x) <= nn_distance[x] * (1 + BALL_SLACK)`` — if ``x``'s
-        existing stop is already strictly closer than ``v``'s ball
-        radius at ``x``, no query beyond ``x`` can have ``v`` in its
-        RNN set (triangle inequality), so the ball is exact goal
-        pruning, never truncation.  The relative ``BALL_SLACK`` keeps
-        the ball a superset of the exact-arithmetic ball under float
-        drift; the caller applies the exact membership cutoff
-        ``(forward_dist, v) < (nn_forward(q), nn_stop(q))`` afterwards.
-
-        Returns one ``(members, settled)`` pair per candidate, in the
-        input candidate order: ``members`` lists
-        ``(query_node, forward_dist)`` for every query node in the
-        ball, in ball settle order (sorted by ``(ball_dist, node)``),
-        with ``forward_dist`` replayed forward along the ball's tight
-        tree; ``settled`` is the ball's node count (for the
-        worker-independent ``settled_nodes`` accounting).  Counters:
-        one search per candidate; ``settled`` sums the ball sizes;
-        balls never truncate; ``pushes`` is backend-defined."""
-        ...
-
     def batch_query_rows(
         self,
         csr: "CSRAdjacency",
@@ -288,7 +257,7 @@ class SearchKernel(Protocol):
         the merge downstream array-friendly and make the cross-backend
         parity check a plain ``==``.  Counters: one search per query
         node; ``settled`` sums the reached-set sizes (a fixed point of
-        the gate, so identical across backends and across any chunking
-        or worker sharding); balls never truncate; ``pushes`` is
+        the gate, so identical across backends and across any
+        chunking); balls never truncate; ``pushes`` is
         backend-defined."""
         ...

@@ -33,13 +33,11 @@ INF = math.inf
 #: engine's historical epsilon; part of the cross-backend contract).
 EPSILON = 1e-9
 
-#: Relative slack on the per-node pruning bound of
-#: ``candidate_rnn_balls``: the ball keeps node ``x`` while
-#: ``d(v, x) <= nn_distance[x] * (1 + BALL_SLACK)``.  The slack absorbs
-#: the last-ulp drift between backward (ball) and forward (per-query)
-#: accumulation so the ball stays a superset of the exact-arithmetic
-#: RNN region; the exact membership cutoff is applied by the caller on
-#: the forward-replayed floats.  Part of the cross-backend contract.
+#: Relative slack on the push gate of ``batch_query_rows``: ball ``i``
+#: keeps node ``x`` while ``d(q, x) <= nn_forward[i] * (1 + BALL_SLACK)``.
+#: The exact settle-order cutoff decides membership; the slack only
+#: widens the reached set (and so the ``settled`` counts), which is why
+#: it is part of the cross-backend contract.
 BALL_SLACK = 1e-9
 
 
@@ -344,78 +342,6 @@ class PythonKernel:
             out.append(acc)
         return out
 
-    def candidate_rnn_balls(
-        self,
-        csr: "CSRAdjacency",
-        candidates: Sequence[int],
-        nn_distance: Sequence[float],
-        is_query: Sequence[bool],
-        stats: "SearchStats",
-    ) -> List[Tuple[List[Tuple[int, float]], int]]:
-        indptr, targets, costs = csr.indptr, csr.targets, csr.costs
-        nnd = nn_distance
-        results: List[Tuple[List[Tuple[int, float]], int]] = []
-        for v in candidates:
-            stats.searches += 1
-            dist: Dict[int, float] = {v: 0.0}
-            heap: List[Tuple[float, int]] = [(0.0, v)]
-            pushes = 1
-            members: List[Tuple[int, float]] = []
-            settled: Set[int] = set()
-            while heap:
-                d, u = heapq.heappop(heap)
-                if u in settled:
-                    continue
-                settled.add(u)
-                if is_query[u]:
-                    members.append((u, d))
-                for i in range(indptr[u], indptr[u + 1]):
-                    x = targets[i]
-                    nd = d + costs[i]
-                    # Push gate, not truncation: a node beyond its own
-                    # nn bound can never lead to an RNN member of v
-                    # (triangle inequality), so dropping the candidate
-                    # loses nothing — balls never truncate.
-                    if nd <= nnd[x] * (1.0 + BALL_SLACK) and nd < dist.get(x, INF):
-                        dist[x] = nd
-                        heapq.heappush(heap, (nd, x))
-                        pushes += 1
-            entries: List[Tuple[int, float]] = []
-            for q, _ball_dist in members:
-                entries.append((q, self._replay_in_ball(csr, dist, q)))
-            stats.settled += len(settled)
-            stats.pushes += pushes
-            results.append((entries, len(settled)))
-        return results
-
-    def _replay_in_ball(
-        self, csr: "CSRAdjacency", dist: Dict[int, float], node: int
-    ) -> float:
-        """Forward replay along the ball's tight tree (the dict-backed
-        twin of :meth:`forward_replay`; the tight predecessor search is
-        restricted to nodes the pruned ball actually reached, which is
-        sound because a member's shortest path never crosses the gate)."""
-        indptr, tgt, costs = csr.indptr, csr.targets, csr.costs
-        acc = 0.0
-        cur = node
-        dc = dist[cur]
-        while dc > 0.0:
-            best: Optional[Tuple[float, int]] = None
-            best_cost = 0.0
-            for i in range(indptr[cur], indptr[cur + 1]):
-                u = tgt[i]
-                du = dist.get(u)
-                if du is not None and du < dc and du + costs[i] <= dc:
-                    key = (du, u)
-                    if best is None or key < best:
-                        best = key
-                        best_cost = costs[i]
-            assert best is not None
-            acc = acc + best_cost
-            cur = best[1]
-            dc = best[0]
-        return acc
-
     def batch_query_rows(
         self,
         csr: "CSRAdjacency",
@@ -455,9 +381,10 @@ class PythonKernel:
                 for j in range(indptr[u], indptr[u + 1]):
                     x = targets[j]
                     nd = d + costs[j]
-                    # The same push gate as candidate_rnn_balls, but
-                    # with the *row's* radius: nothing past the query's
-                    # own nearest stop can precede it in settle order.
+                    # Push gate at the row's radius: nothing past the
+                    # query's own nearest stop can precede it in settle
+                    # order, so dropping it loses nothing — balls never
+                    # truncate.
                     if nd <= bound and nd < dist.get(x, INF):
                         dist[x] = nd
                         heapq.heappush(heap, (nd, x))

@@ -201,54 +201,6 @@ class VectorizedKernel(PythonKernel):
         out = np.where(reachable, acc, INF)
         return out.tolist()
 
-    def candidate_rnn_balls(
-        self,
-        csr: "CSRAdjacency",
-        candidates: Sequence[int],
-        nn_distance: Sequence[float],
-        is_query: Sequence[bool],
-        stats: "SearchStats",
-    ) -> List[Tuple[List[Tuple[int, float]], int]]:
-        cands = np.asarray(list(candidates), dtype=np.int64)
-        results: List[Tuple[List[Tuple[int, float]], int]] = []
-        if not cands.size:
-            return results
-        n = csr.num_nodes
-        tgt64 = csr.np_targets.astype(np.int64)
-        bound = np.asarray(list(nn_distance), dtype=np.float64) * (1.0 + BALL_SLACK)
-        query_mask = np.asarray(list(is_query), dtype=bool)
-        # Balls are relaxed in chunks over the product graph (flat index
-        # ``ball * n + node``) so one scatter-min serves every ball in
-        # the chunk; the dense distance and position-scratch arrays are
-        # reused across chunks with touched-entry reset (~32 MB ceiling
-        # each).  Big chunks are the whole point: the Bellman-Ford
-        # layer count is the *max* ball depth in the chunk, so hundreds
-        # of balls ride the same few dozen scatters.
-        chunk = int(max(1, min(512, (32 << 20) // max(8 * n, 1), cands.size)))
-        flat_dist = np.full(chunk * n, INF)
-        pos_lookup = np.empty(chunk * n, dtype=np.int64)
-        for start in range(0, int(cands.size), chunk):
-            group = cands[start : start + chunk]
-            g = int(group.size)
-            seeds = np.arange(g, dtype=np.int64) * n + group
-            flat_dist[seeds] = 0.0
-            touched = _ball_relax(csr, flat_dist, seeds, bound, tgt64, g * n)
-            results.extend(
-                _finish_ball_chunk(
-                    csr, flat_dist, touched, group, query_mask, tgt64, pos_lookup
-                )
-            )
-            stats.searches += g
-            stats.settled += int(touched.size)
-            # Scatter-min improvement counts depend on how balls are
-            # chunked together, which would make `pushes` vary with
-            # worker sharding; the reached-node count is the schedule-
-            # independent work measure reported instead (pushes is
-            # backend-defined).
-            stats.pushes += int(touched.size)
-            flat_dist[touched] = INF
-        return results
-
     def batch_query_rows(
         self,
         csr: "CSRAdjacency",
@@ -275,11 +227,17 @@ class VectorizedKernel(PythonKernel):
                 csr, rows, nnf, radius, lab, cand_mask, stats
             )
         tgt64 = csr.np_targets.astype(np.int64)
-        # Same product-graph chunking as candidate_rnn_balls, but the
-        # gate is the *row's* radius (known up front from the label
-        # field), and the distances come out query-rooted — already in
-        # the per-query float association, so there is no tight-tree
-        # pass and no replay walk here at all: reach, cut, sort, emit.
+        # Balls are relaxed in chunks over the product graph (flat index
+        # ``ball * n + node``) so one scatter-min serves every ball in
+        # the chunk; the dense distance array is reused across chunks
+        # with touched-entry reset (~32 MB ceiling).  Big chunks are the
+        # whole point: the relaxation round count is the *max* ball
+        # depth in the chunk, so hundreds of balls ride the same few
+        # dozen scatters.  The gate is the *row's* radius (known up
+        # front from the label field), and the distances come out
+        # query-rooted — already in the per-query float association, so
+        # there is no tight-tree pass and no replay walk here at all:
+        # reach, cut, sort, emit.
         chunk = int(max(1, min(512, (32 << 20) // max(8 * n, 1), rows.size)))
         flat_dist = np.full(chunk * n, INF)
         for start in range(0, int(rows.size), chunk):
@@ -288,8 +246,7 @@ class VectorizedKernel(PythonKernel):
             seeds = np.arange(g, dtype=np.int64) * n + group
             flat_dist[seeds] = 0.0
             touched = _ball_relax(
-                csr, flat_dist, seeds, None, tgt64, g * n,
-                row_bound=radius[start : start + g],
+                csr, flat_dist, seeds, radius[start : start + g], tgt64, g * n
             )
             node_ids = touched % n
             ball_ids = touched // n
@@ -310,8 +267,8 @@ class VectorizedKernel(PythonKernel):
             stats.searches += g
             # Reached-node counts: the gated fixed point's node sets are
             # schedule-independent, so these match the reference backend
-            # and any worker sharding (pushes is backend-defined; the
-            # reached count is this backend's work measure).
+            # and any chunking (pushes is backend-defined; the reached
+            # count is this backend's work measure).
             stats.settled += int(touched.size)
             stats.pushes += int(touched.size)
             flat_dist[touched] = INF
@@ -542,16 +499,13 @@ def _ball_relax(
     csr: "CSRAdjacency",
     flat_dist: np.ndarray,
     seeds: np.ndarray,
-    bound: Optional[np.ndarray],
+    row_bound: np.ndarray,
     tgt64: np.ndarray,
     size: int,
-    row_bound: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Relax a chunk of pruned balls to convergence over the product
     graph (flat index ``ball * n + node``), gating candidates before
-    the scatter at ``cand <= bound[node]`` (the per-node goal pruning
-    of ``candidate_rnn_balls``) or — when ``row_bound`` is given
-    instead — at ``cand <= row_bound[ball]`` (the per-row radius of
+    the scatter at ``cand <= row_bound[ball]`` (the per-row radius of
     ``batch_query_rows``' query-rooted balls).
 
     Runs near/far-pile delta-stepping: the near pile (entries under the
@@ -578,10 +532,7 @@ def _ball_relax(
             x = tgt64[edge_idx]
             cand = np.repeat(flat_dist[near], degs) + costs[edge_idx]
             flat_x = np.repeat(balls, degs) * n + x
-            if row_bound is None:
-                limit = bound[x]
-            else:
-                limit = np.repeat(row_bound[balls], degs)
+            limit = np.repeat(row_bound[balls], degs)
             # Pre-filter before the scatter: the goal gate plus a cheap
             # improvement test drops most edge relaxations outright.
             keep = (cand <= limit) & (cand < flat_dist[flat_x])
@@ -618,98 +569,6 @@ def _ball_relax(
         if not is_near.all():
             far_parts.append(far[~is_near])
     return np.flatnonzero(np.isfinite(flat_dist[:size]))
-
-
-def _finish_ball_chunk(
-    csr: "CSRAdjacency",
-    flat_dist: np.ndarray,
-    touched: np.ndarray,
-    group: np.ndarray,
-    query_mask: np.ndarray,
-    tgt64: np.ndarray,
-    pos_lookup: np.ndarray,
-) -> List[Tuple[List[Tuple[int, float]], int]]:
-    """Turn one relaxed chunk into per-candidate ``(members, settled)``
-    results: batch forward replay of every query member along its
-    ball's tight tree, then per-ball grouping in settle order.
-
-    ``pos_lookup`` is a reused dense flat-index -> touched-position
-    scratch array; only the ``touched`` entries are (re)written per
-    chunk, so stale positions from earlier chunks survive — harmless,
-    because every read below is masked by ``in_ball``, and membership
-    is decided by ``flat_dist`` finiteness, never by the scratch."""
-    indptr, costs = csr.np_indptr, csr.np_costs
-    n = csr.num_nodes
-    node_ids = touched % n
-    ball_ids = touched // n
-    db = flat_dist[touched]
-    settled_per_ball = np.bincount(ball_ids, minlength=int(group.size))
-    pos_lookup[touched] = np.arange(touched.size, dtype=np.int64)
-
-    # Canonical predecessor of every touched entry within its own ball
-    # (position-indexed into the sorted `touched` array).  A member's
-    # shortest path never crosses the push gate, so its whole chain is
-    # touched and the walk below always finds its predecessor.  No
-    # explicit membership test: untouched neighbours read INF from
-    # ``flat_dist`` and fail ``du < df`` on their own.
-    edge_idx, degs = _edge_indices(indptr, node_ids)
-    x = tgt64[edge_idx]
-    flat_u = np.repeat(ball_ids, degs) * n + x
-    du = flat_dist[flat_u]
-    c = costs[edge_idx]
-    df = np.repeat(db, degs)
-    tight = (du < df) & (du + c <= df)
-    f_pos = np.repeat(np.arange(touched.size, dtype=np.int64), degs)[tight]
-    pred_pos = np.full(touched.size, -1, dtype=np.int64)
-    step = np.zeros(touched.size)
-    if f_pos.size:  # seed-only balls have no tight edges at all
-        du_t = du[tight]
-        x_t = x[tight]
-        # Canonical pred = argmin (dist[u], u) per entry, as two
-        # scatter-min passes (distance, then node id among distance
-        # ties) instead of a 3-key lexsort — `ufunc.at`'s indexed fast
-        # path makes this far cheaper than sorting every tight edge.
-        best_du = np.full(touched.size, INF)
-        np.minimum.at(best_du, f_pos, du_t)
-        pick = du_t == best_du[f_pos]
-        best_u = np.full(touched.size, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best_u, f_pos[pick], x_t[pick])
-        pick[pick] = x_t[pick] == best_u[f_pos[pick]]
-        # RoadNetwork dedupes parallel edges at construction, so `pick`
-        # now holds exactly one edge per entry and plain scatter
-        # assignment is unambiguous.
-        pred_pos[f_pos[pick]] = pos_lookup[flat_u[tight][pick]]
-        step[f_pos[pick]] = c[tight][pick]
-
-    members = np.flatnonzero(query_mask[node_ids])
-    acc = np.zeros(members.size)
-    cur = members.copy()
-    walking = db[cur] > 0.0
-    while True:
-        idx = np.flatnonzero(walking)
-        if not idx.size:
-            break
-        here = cur[idx]
-        acc[idx] += step[here]
-        nxt = pred_pos[here]
-        cur[idx] = nxt
-        walking[idx] = db[nxt] > 0.0
-
-    # Per-ball member lists in ball settle order (ball_dist, node),
-    # sliced out of the sorted flat arrays with one C-speed zip per
-    # ball rather than a per-member python append loop.
-    m_balls = ball_ids[members]
-    m_order = np.lexsort((node_ids[members], db[members], m_balls))
-    m_nodes = node_ids[members][m_order].tolist()
-    m_dists = acc[m_order].tolist()
-    cuts = np.searchsorted(m_balls[m_order], np.arange(int(group.size) + 1))
-    return [
-        (
-            list(zip(m_nodes[cuts[b] : cuts[b + 1]], m_dists[cuts[b] : cuts[b + 1]])),
-            int(settled_per_ball[b]),
-        )
-        for b in range(int(group.size))
-    ]
 
 
 def _as_scipy_graph(csr: "CSRAdjacency") -> Any:

@@ -18,8 +18,9 @@ snapshots, ``eval/timing`` stopwatch sinks, the perf-counter pairs in
   Perfetto), JSONL, and a deterministic text summary tree;
 * **cross-process collection** — pool workers ship
   :class:`~repro.obs.collect.TraceShard`\\ s back to the parent, so a
-  ``--workers 4`` run produces one trace with per-worker lanes and
-  metric totals identical to serial.
+  :func:`~repro.parallel.sweep.sweep_plans` run over 4 workers produces
+  one trace with per-worker lanes and metric totals equal to the sum
+  of the workers' own.
 
 Quickstart::
 

@@ -1,10 +1,10 @@
 """Cross-process span collection: the worker ↔ parent trace contract.
 
-The parallel substrate (:mod:`repro.parallel`) runs chunks of work in
-pool processes.  Mirroring how each worker's ``SearchStats`` travel back
-for :meth:`SearchEngine.absorb`, each worker also ships its *spans* and
-*metric deltas* home, so a ``--workers 4`` run yields one coherent
-trace:
+The parallel substrate (:func:`repro.parallel.sweep.sweep_plans`) runs
+whole plans in pool processes.  Mirroring how each worker's
+``SearchStats`` travel back for :meth:`SearchEngine.absorb`, each worker
+also ships its *spans* and *metric deltas* home, so a 4-worker sweep
+yields one coherent trace:
 
 * the pool initializer calls :func:`begin_worker_trace`, installing a
   fresh enabled trace whose lane is ``worker-<pid>`` (a fork-started
@@ -15,15 +15,15 @@ trace:
   :class:`TraceShard` returned with the task result;
 * the parent calls :func:`merge_shard` on its enabled trace, appending
   the shard's spans (re-indexed, optionally parented under the parent's
-  fan-out span) and folding its metrics.
+  ``sweep`` span) and folding its metrics.
 
 Timestamps are *not* rebased: :mod:`repro.obs.clock` reads the
 system-wide monotonic clock, so parent and worker readings share a
 timebase and worker spans land at their true position on the timeline.
 
 Drains must happen at span-tree boundaries (no span still open); the
-worker entry points in :mod:`repro.parallel` guarantee this by draining
-only between tasks.
+sweep's worker entry point guarantees this by draining only between
+tasks.
 """
 
 from __future__ import annotations

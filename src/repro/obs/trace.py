@@ -14,8 +14,9 @@ the phase-breakdown workload by ``benchmarks/bench_trace_overhead.py``).
 
 Each trace carries a *lane* label ("main" in the parent process,
 ``worker-<pid>`` in pool workers — see :mod:`repro.obs.collect`), which
-becomes the thread track in the Chrome trace export, so a ``--workers
-4`` run renders as one timeline with five lanes.
+becomes the thread track in the Chrome trace export, so a 4-worker
+:func:`~repro.parallel.sweep.sweep_plans` run renders as one timeline
+with five lanes.
 """
 
 from __future__ import annotations

@@ -1,24 +1,11 @@
 """Process-pool execution layer for EBRR.
 
-Two fan-out shapes, both with deterministic reduces (results are
-bit-identical to the serial code paths):
-
-* :func:`~repro.parallel.fanout.run_query_searches` — shard the
-  Algorithm 2 query searches across workers (used by
-  ``preprocess_queries(workers=N)`` and ``update_preprocess``);
-* :func:`~repro.parallel.fanout.run_candidate_balls` — shard the
-  inverted strategy's per-candidate RNN balls across workers (used by
-  ``preprocess_queries(strategy="inverted", workers=N)``);
-* :func:`~repro.parallel.sweep.sweep_plans` — fan a parameter grid of
-  full EBRR runs over workers sharing one preprocessing.
-
-Import note: :mod:`repro.core.preprocess` and :mod:`repro.core.update`
-import :mod:`.fanout` *inside* function bodies because :mod:`.sweep`
-imports :mod:`repro.core.ebrr` at module level; keep that layering when
-extending this package.
+:func:`~repro.parallel.sweep.sweep_plans` fans a parameter grid of full
+EBRR runs over workers sharing one Algorithm 2 preprocessing, with a
+deterministic reduce: results come back in config order and are
+bit-identical to the serial loop.
 """
 
-from .fanout import run_candidate_balls, run_query_searches
 from .sweep import sweep_plans
 
-__all__ = ["run_candidate_balls", "run_query_searches", "sweep_plans"]
+__all__ = ["sweep_plans"]

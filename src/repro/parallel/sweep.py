@@ -22,6 +22,8 @@ instance (and one sweep call) per α value.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import EBRRConfig
@@ -34,15 +36,33 @@ from ..network.engine import SearchEngine, SearchStats, engine_for
 from ..obs import current_trace, span
 from ..obs.collect import TraceShard, begin_worker_trace, drain_shard, merge_shard
 from ..store import RunStore, store_from_env
-from .fanout import pool_context, resolve_workers
 
-# Per-process sweep state, installed by the pool initializer (see
-# fanout.py for why module globals are the right shape here).
+# Per-process sweep state, installed once by the pool initializer.  A
+# module global is the multiprocessing idiom: the initializer runs in
+# the child process, so nothing here is ever shared between processes.
 _SWEEP_INSTANCE: Optional[BRRInstance] = None
 _SWEEP_PREPROCESS: Optional[PreprocessResult] = None
 _SWEEP_TRACING = False
 
 SweepTask = Tuple[EBRRConfig, str]
+
+
+def resolve_workers(workers: int) -> int:
+    """Validate a worker count (``>= 1``; 1 means serial)."""
+    count = int(workers)
+    if count < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return count
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context of the sweep pool: ``fork`` where the
+    platform offers it (cheap on Linux — no re-import, copy-on-write
+    pages), the default otherwise, which works because the worker entry
+    points are module-level functions with picklable arguments."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def _init_sweep_worker(

@@ -169,7 +169,6 @@ def handle_plan(tenant: Tenant, payload: Mapping[str, Any]) -> JsonDict:
             "max_adjacent_cost": config.max_adjacent_cost,
             "alpha": config.alpha,
             "kernel": tenant.engine.kernel_name,
-            "preprocess_strategy": tenant.ensure_preprocess().strategy,
         },
         "timings": dict(result.timings),
     }

@@ -33,11 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.config import EBRRConfig
 from ..core.ebrr import plan_route
-from ..core.preprocess import (
-    PreprocessResult,
-    preprocess_queries,
-    resolve_preprocess_strategy,
-)
+from ..core.preprocess import PreprocessResult, preprocess_queries
 from ..core.result import EBRRResult
 from ..core.update import UpdateStats, update_preprocess
 from ..core.utility import BRRInstance
@@ -62,10 +58,7 @@ class TenantSpec:
         max_adjacent_cost: default ``C`` likewise.
         alpha: utility trade-off; ``None`` calibrates it from the
             dataset exactly as the CLI does.
-        workers: process-pool size for preprocessing fan-out.
         kernel: search-kernel backend name (``None`` = resolved
-            default).
-        preprocess_strategy: Algorithm 2 strategy (``None`` = resolved
             default).
         cache_capacity: explicit engine LRU row-cache bound (``None``
             keeps the engine default) — the daemon's memory cap.
@@ -78,9 +71,7 @@ class TenantSpec:
     max_stops: int = 20
     max_adjacent_cost: float = 2.0
     alpha: Optional[float] = None
-    workers: int = 1
     kernel: Optional[str] = None
-    preprocess_strategy: Optional[str] = None
     cache_capacity: Optional[int] = None
     seed: Optional[int] = None
 
@@ -135,9 +126,7 @@ class Tenant:
                 else max_adjacent_cost
             ),
             alpha=self.alpha,
-            workers=spec.workers,
             kernel=spec.kernel,
-            preprocess_strategy=spec.preprocess_strategy,
             cache_capacity=spec.cache_capacity,
         )
 
@@ -146,12 +135,7 @@ class Tenant:
     def ensure_preprocess(self) -> PreprocessResult:
         """The resident Algorithm 2 result (computed on first use)."""
         if self.preprocess is None:
-            self.preprocess = preprocess_queries(
-                self.instance,
-                engine=self.engine,
-                workers=self.spec.workers,
-                strategy=self.spec.preprocess_strategy,
-            )
+            self.preprocess = preprocess_queries(self.instance, engine=self.engine)
         return self.preprocess
 
     def warm(self) -> None:
@@ -226,10 +210,7 @@ class Tenant:
             name=f"{self.name}-v{self.updates_applied + 1}",
         )
         new_instance, new_preprocess, stats = update_preprocess(
-            self.instance,
-            self.ensure_preprocess(),
-            queries,
-            workers=self.spec.workers,
+            self.instance, self.ensure_preprocess(), queries
         )
         self.instance = new_instance
         self.preprocess = new_preprocess
@@ -251,9 +232,6 @@ class Tenant:
             "max_stops": self.spec.max_stops,
             "max_adjacent_cost": self.spec.max_adjacent_cost,
             "kernel": self.engine.kernel_name,
-            "preprocess_strategy": resolve_preprocess_strategy(
-                self.spec.preprocess_strategy
-            ),
             "nodes": stats["V"],
             "existing_stops": stats["S_existing"],
             "queries": len(self.instance.queries),

@@ -54,20 +54,3 @@ class TestDerived:
             max_stops=30, max_adjacent_cost=2.0, price_budget_fraction=0.5
         )
         assert config.price_budget == pytest.approx(15.0)
-
-
-class TestPreprocessStrategy:
-    def test_accepts_known_strategies(self):
-        for strategy in (None, "per-query", "inverted"):
-            config = EBRRConfig(
-                max_stops=10, max_adjacent_cost=2.0,
-                preprocess_strategy=strategy,
-            )
-            assert config.preprocess_strategy == strategy
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ConfigurationError, match="unknown preprocess"):
-            EBRRConfig(
-                max_stops=10, max_adjacent_cost=2.0,
-                preprocess_strategy="sideways",
-            )

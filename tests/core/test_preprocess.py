@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.preprocess import preprocess_queries
+from repro.core.preprocess import per_query_preprocess, preprocess_queries
 
 from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 
@@ -48,13 +48,12 @@ class TestExample7:
 
 
 class TestMechanics:
-    def test_one_search_per_distinct_query(self, pre):
-        if pre.strategy == "inverted":
-            # One field search plus one query-rooted ball per distinct
-            # query node (the fixture follows ``$REPRO_PREPROCESS``).
-            assert pre.searches == 1 + 4
-        else:
-            assert pre.searches == 4  # distinct nodes: v1, v6, v7, v8
+    def test_one_search_per_distinct_query(self, toy_instance, pre):
+        # One field search plus one query-rooted ball per distinct query
+        # node; the per-query oracle runs one search per distinct node.
+        assert pre.searches == 1 + 4
+        oracle = per_query_preprocess(toy_instance)
+        assert oracle.searches == 4  # distinct nodes: v1, v6, v7, v8
 
     def test_settled_nodes_counted(self, pre):
         assert pre.settled_nodes >= pre.searches
@@ -135,58 +134,23 @@ class TestDisjointnessGuard:
         toy_instance.candidates.append(existing)
         with pytest.raises(ConfigurationError, match="disjoint"):
             preprocess_queries(toy_instance)
-
-    def test_workers_must_be_positive(self, toy_instance):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="workers"):
-            preprocess_queries(toy_instance, workers=0)
+        with pytest.raises(ConfigurationError, match="disjoint"):
+            per_query_preprocess(toy_instance)
 
 
 class TestStrategies:
-    """The inverted strategy on the worked toy example, plus the
-    strategy-resolution plumbing (``$REPRO_PREPROCESS``, validation)."""
+    """The batched path against the per-query oracle on the worked toy
+    example."""
 
     def test_inverted_matches_example_7(self, toy_instance, pre):
-        inv = preprocess_queries(toy_instance, strategy="inverted")
-        assert inv.strategy == "inverted"
-        assert inv.nn_distance == pre.nn_distance
-        assert inv.rnn == pre.rnn
-        assert inv.initial_utility == pre.initial_utility
-        assert list(inv.rnn) == list(pre.rnn)
-        assert inv.utility_order() == pre.utility_order()
+        oracle = per_query_preprocess(toy_instance)
+        assert pre.nn_distance == oracle.nn_distance
+        assert pre.rnn == oracle.rnn
+        assert pre.initial_utility == oracle.initial_utility
+        assert list(pre.rnn) == list(oracle.rnn)
+        assert pre.utility_order() == oracle.utility_order()
 
-    def test_inverted_accounting(self, toy_instance):
-        inv = preprocess_queries(toy_instance, strategy="inverted")
+    def test_inverted_accounting(self, pre):
         # One field search plus one query-rooted ball per distinct query.
-        assert inv.searches == 1 + len(inv.nn_distance)
-        assert inv.settled_nodes > 0
-
-    def test_default_strategy_is_inverted(self, toy_instance, monkeypatch):
-        monkeypatch.delenv("REPRO_PREPROCESS", raising=False)
-        result = preprocess_queries(toy_instance)
-        assert result.strategy == "inverted"
-
-    def test_env_resolution(self, toy_instance, monkeypatch):
-        monkeypatch.setenv("REPRO_PREPROCESS", "per-query")
-        assert preprocess_queries(toy_instance).strategy == "per-query"
-        # An explicit argument wins over the environment.
-        explicit = preprocess_queries(toy_instance, strategy="per-query")
-        assert explicit.strategy == "per-query"
-
-    def test_unknown_strategy_rejected(self, toy_instance):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown preprocess"):
-            preprocess_queries(toy_instance, strategy="sideways")
-
-    def test_resolver_validates_env(self, monkeypatch):
-        from repro.core.preprocess import resolve_preprocess_strategy
-        from repro.exceptions import ConfigurationError
-
-        monkeypatch.setenv("REPRO_PREPROCESS", "bogus")
-        with pytest.raises(ConfigurationError, match="bogus"):
-            resolve_preprocess_strategy()
-        monkeypatch.delenv("REPRO_PREPROCESS")
-        assert resolve_preprocess_strategy() == "inverted"
-        assert resolve_preprocess_strategy("per-query") == "per-query"
+        assert pre.searches == 1 + len(pre.nn_distance)
+        assert pre.settled_nodes > 0

@@ -165,41 +165,3 @@ class TestBulkRetirement:
             value = updated.initial_utility[candidate]
             assert value == 0.0
             assert str(value) == "0.0"  # exactly +0.0, not -0.0 or dust
-
-    def test_parallel_added_nodes_match_serial(self, small_city):
-        instance = small_city.instance(alpha=25.0)
-        pre = preprocess_queries(instance)
-        used = set(instance.query_counts)
-        fresh = [v for v in instance.candidates if v not in used][:6]
-        assert len(fresh) >= 2
-        nodes = list(instance.queries.nodes) + fresh
-        new_queries = QuerySet(instance.network, nodes, name="grown")
-        _, serial, serial_stats = update_preprocess(
-            instance, pre, new_queries, workers=1
-        )
-        _, parallel, parallel_stats = update_preprocess(
-            instance, pre, new_queries, workers=2
-        )
-        assert serial_stats.added_nodes == parallel_stats.added_nodes == len(fresh)
-        assert serial.nn_distance == parallel.nn_distance
-        assert serial.rnn == parallel.rnn
-        assert serial.initial_utility == parallel.initial_utility
-
-
-class TestStrategyProvenance:
-    def test_update_carries_strategy(self, toy_instance):
-        """An update of an inverted preprocessing keeps its provenance
-        (the added-node searches run per-query either way — they are
-        change-proportional)."""
-        pre = preprocess_queries(toy_instance, strategy="inverted")
-        new_queries = QuerySet(
-            toy_instance.network,
-            list(toy_instance.queries.nodes) + [V8],
-            name="updated",
-        )
-        new_instance, updated, _stats = update_preprocess(
-            toy_instance, pre, new_queries
-        )
-        assert updated.strategy == "inverted"
-        scratch = preprocess_queries(new_instance, strategy="inverted")
-        _assert_equivalent(new_instance, updated, scratch)

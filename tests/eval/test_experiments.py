@@ -1,6 +1,8 @@
 """Integration tests for the experiment runners (small scale — the
 benchmarks run them at full reproduction scale)."""
 
+import dataclasses
+
 import pytest
 
 from repro.datasets import load_city, small_nyc_extract
@@ -50,6 +52,24 @@ class TestAlphaHelpers:
     def test_calibrated_alpha_rejects_bad_balance(self, city):
         with pytest.raises(ConfigurationError):
             calibrated_alpha(city, balance=0.0)
+
+    def test_calibrated_alpha_survives_reused_ids(self):
+        """Regression: the cache is keyed by ``id(dataset)``, and CPython
+        hands a freed object's id to the next allocation.  Fresh
+        wrappers of two cities, alternated and dropped, must each get
+        their own city's alpha."""
+        cities = [
+            load_city("orlando", scale=0.05),
+            load_city("chicago", scale=0.05),
+        ]
+        expected = [calibrated_alpha(c) for c in cities]
+        assert expected[0] != expected[1]
+        got = []
+        for i in range(8):
+            wrapper = dataclasses.replace(cities[i % 2])
+            got.append(calibrated_alpha(wrapper))
+            del wrapper  # freed before the next wrapper is allocated
+        assert got == [expected[i % 2] for i in range(8)]
 
 
 class TestEffectOfK(object):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.exceptions import ConfigurationError, GraphError
+from repro.exceptions import ConfigurationError
 from repro.network.dijkstra import (
     IncrementalNearestDistance,
     distance_between,
@@ -384,38 +384,6 @@ class TestLabelFieldCache:
                 q, is_existing, no_candidates
             )
             assert field.label[q] == nn_stop
-
-
-class TestBatchQuerySearch:
-    def test_matches_per_query_loop(self, network):
-        engine = SearchEngine(network)
-        n = network.num_nodes
-        is_existing = [u % 7 == 1 for u in range(n)]
-        is_candidate = [u % 3 == 0 and not is_existing[u] for u in range(n)]
-        nodes = [u for u in range(n) if u % 2 == 0]
-        rows = SearchEngine(network).batch_query_search(
-            nodes, is_existing, is_candidate
-        )
-        assert [row[0] for row in rows] == nodes
-        for query_node, nn_stop, nn_dist, visited in rows:
-            assert (nn_stop, nn_dist, visited) == engine.query_search(
-                query_node, is_existing, is_candidate
-            )
-
-    def test_empty_nodes(self, network):
-        engine = SearchEngine(network)
-        n = network.num_nodes
-        assert engine.batch_query_search([], [False] * n, [False] * n) == []
-
-    def test_unreachable_query_raises(self):
-        coords = [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 0.0)]
-        edges = [(0, 1, 1.0), (2, 3, 1.0)]
-        network = RoadNetwork(coords, edges, validate_connected=False)
-        engine = SearchEngine(network)
-        is_existing = [True, False, False, False]
-        is_candidate = [False, False, True, False]
-        with pytest.raises(GraphError, match="query node 2"):
-            engine.batch_query_search([0, 2], is_existing, is_candidate)
 
 
 class TestKernelResolution:

@@ -1,35 +1,25 @@
-"""The fan-out contract: parallel execution is *bit-identical* to
-serial, not merely approximately equal.
+"""The sweep fan-out contract: parallel execution is *bit-identical*
+to serial, not merely approximately equal.
 
 Every assertion here uses exact ``==`` on floats on purpose — the
-deterministic-reduce design (contiguous chunks in caller order,
-order-preserving merge, exact float pickling) promises the same bits,
-and these tests are the enforcement.
+deterministic-reduce design (order-preserving ``Pool.map``, exact float
+pickling) promises the same bits, and these tests are the enforcement.
 """
 
 import pytest
 
 from repro.core.config import EBRRConfig
-from repro.core.preprocess import preprocess_queries
 from repro.core.utility import BRRInstance
 from repro.demand.generators import hotspot_demand
 from repro.exceptions import ConfigurationError
 from repro.network.engine import SearchEngine
-from repro.network.generators import grid_city, radial_city, sprawl_city
+from repro.network.generators import grid_city
 from repro.parallel import sweep_plans
-from repro.parallel.fanout import resolve_workers, run_query_searches, split_chunks
 from repro.transit.builder import build_transit_network
 
-pytestmark = pytest.mark.parallel
 
-
-def _instance(style, seed):
-    if style == "grid":
-        network = grid_city(8, 8, seed=seed)
-    elif style == "radial":
-        network = radial_city(num_boroughs=3, nodes_per_borough=60, seed=seed)
-    else:
-        network = sprawl_city(num_nodes=120, seed=seed)
+def _instance(seed):
+    network = grid_city(8, 8, seed=seed)
     transit = build_transit_network(
         network, num_routes=4, seed=seed + 1, stop_spacing_km=0.8
     )
@@ -43,90 +33,10 @@ def _stats_tuple(stats):
     return (stats.searches, stats.settled, stats.pushes, stats.truncated)
 
 
-class TestParallelPreprocess:
-    @pytest.mark.parametrize("style", ["grid", "radial", "sprawl"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_bit_identical_to_serial(self, style, workers):
-        instance = _instance(style, seed=3)
-        serial_engine = SearchEngine(instance.network)
-        serial = preprocess_queries(instance, engine=serial_engine, workers=1)
-        par_engine = SearchEngine(instance.network)
-        par = preprocess_queries(instance, engine=par_engine, workers=workers)
-
-        assert serial.nn_distance == par.nn_distance
-        assert serial.rnn == par.rnn
-        assert serial.initial_utility == par.initial_utility
-        assert serial.searches == par.searches
-        assert serial.settled_nodes == par.settled_nodes
-        # Dict insertion order is part of the contract too (the utility
-        # queue and every downstream iteration depend on it).
-        assert list(serial.nn_distance) == list(par.nn_distance)
-        assert list(serial.rnn) == list(par.rnn)
-        assert serial.utility_order() == par.utility_order()
-
-    def test_profile_parity(self):
-        instance = _instance("grid", seed=5)
-        serial_engine = SearchEngine(instance.network)
-        preprocess_queries(instance, engine=serial_engine, workers=1)
-        par_engine = SearchEngine(instance.network)
-        preprocess_queries(instance, engine=par_engine, workers=2)
-        assert _stats_tuple(serial_engine.counters("preprocess")) == _stats_tuple(
-            par_engine.counters("preprocess")
-        )
-
-    def test_invalid_workers_rejected(self):
-        instance = _instance("grid", seed=3)
-        with pytest.raises(ConfigurationError):
-            preprocess_queries(instance, workers=0)
-        with pytest.raises(ConfigurationError):
-            resolve_workers(-1)
-
-
-class TestRunQuerySearches:
-    def test_row_order_matches_input(self):
-        instance = _instance("sprawl", seed=9)
-        nodes = list(instance.query_counts)
-        rows, stats = run_query_searches(
-            instance.network,
-            instance.is_existing,
-            instance.is_candidate,
-            nodes,
-            workers=2,
-        )
-        assert [row[0] for row in rows] == nodes
-        assert stats.searches == len(nodes)
-
-    def test_empty_input(self):
-        instance = _instance("grid", seed=3)
-        rows, stats = run_query_searches(
-            instance.network,
-            instance.is_existing,
-            instance.is_candidate,
-            [],
-            workers=2,
-        )
-        assert rows == []
-        assert stats.searches == 0
-
-
-class TestSplitChunks:
-    def test_partition_properties(self):
-        items = list(range(103))
-        chunks = split_chunks(items, 8)
-        assert [x for chunk in chunks for x in chunk] == items  # order kept
-        assert len(chunks) == 8
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1  # near-even
-
-    def test_more_chunks_than_items(self):
-        chunks = split_chunks([1, 2], 10)
-        assert chunks == [[1], [2]]
-
-
 class TestSweep:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_sweep_matches_serial(self, workers):
-        instance = _instance("grid", seed=7)
+        instance = _instance(seed=7)
         configs = [
             EBRRConfig(max_stops=k, max_adjacent_cost=1.5, alpha=5.0)
             for k in (4, 6, 8)
@@ -143,7 +53,7 @@ class TestSweep:
             assert a.metrics.connectivity == b.metrics.connectivity
 
     def test_sweep_folds_preprocess_stats_back(self):
-        instance = _instance("grid", seed=7)
+        instance = _instance(seed=7)
         configs = [
             EBRRConfig(max_stops=k, max_adjacent_cost=1.5, alpha=5.0)
             for k in (4, 6)
@@ -157,100 +67,13 @@ class TestSweep:
         )
 
     def test_route_ids_length_mismatch(self):
-        instance = _instance("grid", seed=7)
+        instance = _instance(seed=7)
         configs = [EBRRConfig(max_stops=4, max_adjacent_cost=1.5, alpha=5.0)]
         with pytest.raises(ConfigurationError):
             sweep_plans(instance, configs, route_ids=["a", "b"])
 
-
-class TestRunCandidateBalls:
-    def _parts(self, instance):
-        engine = SearchEngine(instance.network)
-        stops = [i for i, f in enumerate(instance.is_existing) if f]
-        field = engine.multi_source_labels(stops)
-        is_query = [False] * instance.network.num_nodes
-        for node in instance.query_counts:
-            is_query[node] = True
-        return engine, field, is_query, list(instance.candidates)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_bit_identical_to_serial(self, workers):
-        from repro.parallel.fanout import run_candidate_balls
-
-        instance = _instance("sprawl", seed=9)
-        engine, field, is_query, candidates = self._parts(instance)
-        serial = engine.candidate_rnn_balls(
-            candidates, field.distance, is_query
-        )
-        fanned, stats = run_candidate_balls(
-            instance.network, field.distance, is_query, candidates,
-            workers=workers,
-        )
-        assert fanned == serial  # same members, same order, same sizes
-        assert stats.searches == len(candidates)
-        assert stats.settled == sum(settled for _m, settled in serial)
-
-    def test_empty_candidates(self):
-        from repro.parallel.fanout import run_candidate_balls
-
-        instance = _instance("grid", seed=3)
-        _engine, field, is_query, _candidates = self._parts(instance)
-        balls, stats = run_candidate_balls(
-            instance.network, field.distance, is_query, [], workers=2
-        )
-        assert balls == []
-        assert stats.searches == 0
-
-    def test_inverted_preprocess_profile_parity(self):
-        """The parent engine's ``preprocess`` profile is identical
-        whether the balls ran in-process or in a pool."""
-        instance = _instance("grid", seed=5)
-        serial_engine = SearchEngine(instance.network)
-        preprocess_queries(
-            instance, engine=serial_engine, strategy="inverted", workers=1
-        )
-        par_engine = SearchEngine(instance.network)
-        preprocess_queries(
-            instance, engine=par_engine, strategy="inverted", workers=2
-        )
-        assert _stats_tuple(serial_engine.counters("preprocess")) == _stats_tuple(
-            par_engine.counters("preprocess")
-        )
-
-
-class TestRunQueryRows:
-    def _parts(self, instance):
-        engine = SearchEngine(instance.network)
-        stops = [i for i, f in enumerate(instance.is_existing) if f]
-        field = engine.multi_source_labels(stops)
-        nodes = list(instance.query_counts)
-        nn_forward = engine.label_forward_distances(field, nodes)
-        labels = [field.label[node] for node in nodes]
-        return engine, nodes, nn_forward, labels
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_bit_identical_to_serial(self, workers):
-        from repro.parallel.fanout import run_query_rows
-
-        instance = _instance("sprawl", seed=9)
-        engine, nodes, nn_forward, labels = self._parts(instance)
-        serial = engine.batch_query_rows(
-            nodes, nn_forward, labels, instance.is_candidate
-        )
-        fanned, stats = run_query_rows(
-            instance.network, nodes, nn_forward, labels,
-            instance.is_candidate, workers=workers,
-        )
-        assert fanned == serial  # all four columns, bit-for-bit
-        assert stats.searches == len(nodes)
-        assert stats.settled == sum(serial[3])
-
-    def test_empty_nodes(self):
-        from repro.parallel.fanout import run_query_rows
-
-        instance = _instance("grid", seed=3)
-        columns, stats = run_query_rows(
-            instance.network, [], [], [], instance.is_candidate, workers=2
-        )
-        assert columns == ([], [], [], [])
-        assert stats.searches == 0
+    def test_invalid_workers_rejected(self):
+        instance = _instance(seed=7)
+        configs = [EBRRConfig(max_stops=4, max_adjacent_cost=1.5, alpha=5.0)]
+        with pytest.raises(ConfigurationError, match="workers"):
+            sweep_plans(instance, configs, workers=0)

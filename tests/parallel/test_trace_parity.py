@@ -1,7 +1,7 @@
-"""Cross-process trace collection: a ``--workers N`` run must produce
-one coherent trace — spans from every worker lane, and ``search.*``
-metric totals *exactly* equal to the serial run (same integers, not
-approximately)."""
+"""Trace collection: a single-process plan traces into one lane, and
+a multi-worker ``sweep_plans`` run produces one coherent trace — spans
+from every worker lane, and ``search.*`` metric totals *exactly* equal
+to what the workers measured (same integers, not approximately)."""
 
 import pytest
 
@@ -15,8 +15,6 @@ from repro.network.generators import grid_city
 from repro.parallel import sweep_plans
 from repro.transit.builder import build_transit_network
 
-pytestmark = pytest.mark.parallel
-
 
 def _instance(seed=3):
     network = grid_city(8, 8, seed=seed)
@@ -29,13 +27,12 @@ def _instance(seed=3):
     return BRRInstance(transit, queries, alpha=5.0)
 
 
-def _traced_plan(instance, workers, kernel=None, strategy=None):
+def _traced_plan(instance, kernel=None):
     # A fresh engine per run: a shared one would serve later runs from
-    # cache and skew the search counters the parity assertion compares.
+    # cache and skew the search counters.
     engine = SearchEngine(instance.network, kernel=kernel)
     config = EBRRConfig(
-        max_stops=10, max_adjacent_cost=2.0, alpha=5.0, workers=workers,
-        kernel=kernel, preprocess_strategy=strategy,
+        max_stops=10, max_adjacent_cost=2.0, alpha=5.0, kernel=kernel
     )
     with obs.tracing() as trace:
         result = plan_route(instance, config, engine=engine)
@@ -51,38 +48,29 @@ def _search_totals(trace):
 
 
 class TestPlanRouteFoldBack:
-    @pytest.mark.parametrize("kernel", [None, "vectorized"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_metric_totals_identical_to_serial(self, workers, kernel):
-        # Runs under both search backends: the worker engines inherit
-        # the kernel (pickled by name into the pool initializer), and
-        # every search.total.* counter — pushes included, since serial
-        # and parallel use the *same* backend — must match exactly.
-        instance = _instance()
-        serial_trace, serial_result = _traced_plan(
-            instance, workers=1, kernel=kernel
-        )
-        par_trace, par_result = _traced_plan(
-            instance, workers=workers, kernel=kernel
-        )
-        assert _search_totals(par_trace) == _search_totals(serial_trace)
-        assert par_result.route.stops == serial_result.route.stops
-
     @pytest.mark.parametrize("workers", [2])
     def test_kernels_agree_across_process_boundaries(self, workers):
-        """The full parallel pipeline is bit-identical across backends
-        on the invariant counters and the planned route."""
+        """A pooled sweep is bit-identical across backends on the
+        invariant counters and the planned routes: the worker engines
+        search with the kernel the config names (pickled by name)."""
         instance = _instance()
         traces = {}
         results = {}
         for kernel in ("python", "vectorized"):
-            traces[kernel], results[kernel] = _traced_plan(
-                instance, workers=workers, kernel=kernel
-            )
-        assert (
-            results["python"].route.stops == results["vectorized"].route.stops
-        )
-        assert results["python"].route.path == results["vectorized"].route.path
+            configs = [
+                EBRRConfig(
+                    max_stops=k, max_adjacent_cost=2.0, alpha=5.0, kernel=kernel
+                )
+                for k in (8, 10)
+            ]
+            engine = SearchEngine(instance.network, kernel=kernel)
+            with obs.tracing() as traces[kernel]:
+                results[kernel] = sweep_plans(
+                    instance, configs, workers=workers, engine=engine
+                )
+        for a, b in zip(results["python"], results["vectorized"]):
+            assert a.route.stops == b.route.stops
+            assert a.route.path == b.route.path
         totals_p = _search_totals(traces["python"])
         totals_v = _search_totals(traces["vectorized"])
         invariant = {
@@ -99,34 +87,8 @@ class TestPlanRouteFoldBack:
         assert traces["python"].metrics.gauges["search.kernel"].value == 0
         assert traces["vectorized"].metrics.gauges["search.kernel"].value == 1
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_trace_has_worker_lanes(self, workers):
-        trace, _ = _traced_plan(_instance(), workers=workers)
-        lanes = {span.lane for span in trace.spans}
-        assert "main" in lanes
-        worker_lanes = {l for l in lanes if l.startswith("worker-")}
-        assert worker_lanes, f"no worker lanes in {sorted(lanes)}"
-        chunk_lanes = {
-            span.lane for span in trace.spans if span.name == "fanout.chunk"
-        }
-        assert chunk_lanes <= worker_lanes
-
-    def test_worker_spans_hang_under_the_fanout_span(self):
-        trace, _ = _traced_plan(_instance(), workers=2)
-        by_index = {span.index: span for span in trace.spans}
-        fanout = next(s for s in trace.spans if s.name == "fanout")
-        for chunk in (s for s in trace.spans if s.name == "fanout.chunk"):
-            assert by_index[chunk.parent] is fanout
-
-    def test_merged_trace_exports_valid_chrome_json(self):
-        trace, _ = _traced_plan(_instance(), workers=2)
-        obj = obs.chrome_trace(trace)
-        assert obs.validate_chrome_trace(obj) == []
-        lanes = obj["metadata"]["lanes"]
-        assert lanes[0] == "main" and len(lanes) >= 2
-
     def test_serial_run_ships_no_shards(self):
-        trace, _ = _traced_plan(_instance(), workers=1)
+        trace, _ = _traced_plan(_instance())
         assert {span.lane for span in trace.spans} == {"main"}
         assert any(span.name == "preprocess.searches" for span in trace.spans)
 
@@ -168,40 +130,10 @@ class TestSweepFoldBack:
 
 
 class TestInvertedStrategyTraces:
-    """The inverted preprocessing path must keep the same trace
-    discipline as per-query: serial/parallel metric parity, worker
-    lanes for the ball chunks, and the new ``preprocess.labels`` /
-    ``preprocess.balls`` spans and counters present either way."""
-
-    @pytest.mark.parametrize("kernel", [None, "vectorized"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_metric_totals_identical_to_serial(self, workers, kernel):
-        instance = _instance()
-        serial_trace, serial_result = _traced_plan(
-            instance, workers=1, kernel=kernel, strategy="inverted"
-        )
-        par_trace, par_result = _traced_plan(
-            instance, workers=workers, kernel=kernel, strategy="inverted"
-        )
-        assert _search_totals(par_trace) == _search_totals(serial_trace)
-        assert par_result.route.stops == serial_result.route.stops
-
-    def test_strategies_agree_on_route_and_invariant_counters(self):
-        instance = _instance()
-        traces, results = {}, {}
-        for strategy in ("per-query", "inverted"):
-            traces[strategy], results[strategy] = _traced_plan(
-                instance, workers=1, strategy=strategy
-            )
-        assert (
-            results["per-query"].route.stops == results["inverted"].route.stops
-        )
-        assert (
-            results["per-query"].route.path == results["inverted"].route.path
-        )
+    """The batched preprocessing path's own spans and counters."""
 
     def test_preprocess_spans_and_counters_present(self):
-        trace, _ = _traced_plan(_instance(), workers=1, strategy="inverted")
+        trace, _ = _traced_plan(_instance())
         names = {span.name for span in trace.spans}
         assert "preprocess.labels" in names
         assert "preprocess.balls" in names
@@ -210,18 +142,3 @@ class TestInvertedStrategyTraces:
         assert counters["preprocess.labels.reachable"] > 0
         assert counters["preprocess.balls.count"] > 0
         assert counters["preprocess.balls.settled"] > 0
-
-    def test_ball_chunks_run_in_worker_lanes(self):
-        trace, _ = _traced_plan(_instance(), workers=2, strategy="inverted")
-        lanes = {span.lane for span in trace.spans}
-        worker_lanes = {l for l in lanes if l.startswith("worker-")}
-        assert worker_lanes, f"no worker lanes in {sorted(lanes)}"
-        chunk_lanes = {
-            span.lane for span in trace.spans if span.name == "fanout.ball_chunk"
-        }
-        assert chunk_lanes and chunk_lanes <= worker_lanes
-        by_index = {span.index: span for span in trace.spans}
-        fanout = next(s for s in trace.spans if s.name == "fanout")
-        for chunk in (s for s in trace.spans if s.name == "fanout.ball_chunk"):
-            assert by_index[chunk.parent] is fanout
-        assert obs.validate_chrome_trace(obs.chrome_trace(trace)) == []

@@ -1,12 +1,14 @@
 """Property tests for the exact OPT machinery: the fast subset
-evaluator must equal the direct objective on arbitrary subsets, and
-greedy never beats OPT."""
+evaluator must equal the direct objective on arbitrary subsets, greedy
+never beats OPT, and EBRR keeps Theorem 4's guaranteed fraction of
+it."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.bounds import approximation_bound, network_diameter
 from repro.core.config import EBRRConfig
 from repro.core.ebrr import plan_route
 from repro.core.exact import _FastEvaluator, optimal_stop_set
@@ -79,3 +81,24 @@ def test_connectable_opt_dominated_by_unconstrained(seed):
         instance, 3, max_adjacent_cost=1.0, require_c_connectable=True
     )
     assert constrained <= unconstrained + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 4),
+    k=st.sampled_from([2, 3, 4]),
+    c=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+)
+def test_ebrr_keeps_theorem_4_fraction_of_opt(seed, k, c):
+    """The guarantee from below: EBRR's utility is at least the
+    instance's Theorem 4 ratio times the C-connectable OPT."""
+    instance = _small_instance(seed)
+    config = EBRRConfig(max_stops=k, max_adjacent_cost=c, alpha=1.5)
+    result = plan_route(instance, config)
+    _, opt = optimal_stop_set(
+        instance, k, max_adjacent_cost=c, require_c_connectable=True
+    )
+    bound = approximation_bound(
+        instance.network, c, diameter=network_diameter(instance.network)
+    )
+    assert result.metrics.utility >= bound.ratio * opt - 1e-9

@@ -242,26 +242,6 @@ def test_forward_replay_bit_identical(use_scipy, network, seed, m):
 @pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=25, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_candidate_rnn_balls_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
-    n = network.num_nodes
-    sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
-    candidates = [u for u in range(n) if u % 3 == 0 and u not in set(sources)]
-    is_query = [u % 2 == 0 for u in range(n)]
-    # The field comes from a third engine so the counters compared
-    # below cover exactly the ball searches on each side.
-    field = SearchEngine(network, kernel="python").multi_source_labels(
-        sources, cached=False
-    )
-    bp = ep.candidate_rnn_balls(candidates, field.distance, is_query)
-    bv = ev.candidate_rnn_balls(candidates, field.distance, is_query)
-    assert bp == bv  # same members, same settle order, same ball sizes
-    assert invariant_counters(ep) == invariant_counters(ev)
-
-
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
-@settings(max_examples=25, deadline=None)
-@given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
 def test_batch_query_rows_bit_identical(use_scipy, network, seed, m):
     ep, ev = engines(network, use_scipy=use_scipy)
     n = network.num_nodes

@@ -1,16 +1,16 @@
-"""The strategy-equivalence contract of Algorithm 2, asserted.
+"""The oracle-equivalence contract of Algorithm 2, asserted.
 
-The inverted strategy (one multi-source label field + one batched
+``preprocess_queries`` (one multi-source label field + one batched
 query-rooted ball per distinct query node) must produce preprocessing
-output **equal** to the paper's per-query loop — same ``nn_distance``
-/ ``rnn`` / ``initial_utility`` contents *including dict insertion
-order* — and bit-identical downstream ``EBRRResult``s, across the
-three synthetic city families, both kernel backends, and workers 1/2.
-Equality is exact ``==`` on floats: query balls accumulate distances
-from the query side — the reference per-query association — and the
-truncation radius is forward-replayed from the label field (see
-DESIGN.md "Batched preprocessing"), so in generic position the bits
-match.
+output **equal** to the paper's per-query loop, kept as the
+``per_query_preprocess`` oracle — same ``nn_distance`` / ``rnn`` /
+``initial_utility`` contents *including dict insertion order* — and
+bit-identical downstream ``EBRRResult``s, across the three synthetic
+city families and both kernel backends.  Equality is exact ``==`` on
+floats: query balls accumulate distances from the query side — the
+reference per-query association — and the truncation radius is
+forward-replayed from the label field (see DESIGN.md "Batched
+preprocessing"), so in generic position the bits match.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EBRRConfig
 from repro.core.ebrr import plan_route
-from repro.core.preprocess import preprocess_queries
+from repro.core.preprocess import per_query_preprocess, preprocess_queries
 from repro.core.utility import BRRInstance
 from repro.demand.generators import hotspot_demand
 from repro.network.engine import SearchEngine
@@ -26,6 +26,7 @@ from repro.network.generators import grid_city, radial_city, sprawl_city
 from repro.transit.builder import build_transit_network
 
 KERNELS = ["python", "vectorized"]
+FAMILIES = ["grid", "radial", "sprawl"]
 
 
 def _network(family, seed, scale=1):
@@ -51,7 +52,7 @@ def _instance(family, seed, scale=1):
 
 @st.composite
 def instances(draw):
-    family = draw(st.sampled_from(["grid", "radial", "sprawl"]))
+    family = draw(st.sampled_from(FAMILIES))
     seed = draw(st.integers(0, 10 ** 4))
     return _instance(family, seed)
 
@@ -74,53 +75,57 @@ class TestStrategyEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(instance=instances())
     def test_equal_preprocessing_output(self, kernel, instance):
-        per_query = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="per-query",
+        per_query = per_query_preprocess(
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
         )
         inverted = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="inverted",
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
         )
-        assert per_query.strategy == "per-query"
-        assert inverted.strategy == "inverted"
         assert_equal_preprocessing(per_query, inverted)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_matches_oracle(self, family, kernel):
+        instance = _instance(family, seed=3)
+        per_query = per_query_preprocess(
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
+        )
+        inverted = preprocess_queries(
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
+        )
+        assert_equal_preprocessing(per_query, inverted)
+        assert per_query.searches == len(per_query.nn_distance)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 10 ** 4))
     def test_ebrr_result_bit_identical(self, kernel, seed):
-        """The full planner is bit-identical across strategies: same
-        route, same path, same metric floats."""
-        results = {}
-        for strategy in ("per-query", "inverted"):
-            instance = _instance("sprawl", seed)
-            config = EBRRConfig(
-                max_stops=8,
-                max_adjacent_cost=2.0,
-                alpha=5.0,
-                kernel=kernel,
-                preprocess_strategy=strategy,
-            )
-            results[strategy] = plan_route(instance, config)
-        pq, inv = results["per-query"], results["inverted"]
+        """The full planner is bit-identical on the oracle's
+        preprocessing: same route, same path, same metric floats."""
+        config = EBRRConfig(
+            max_stops=8, max_adjacent_cost=2.0, alpha=5.0, kernel=kernel
+        )
+        instance = _instance("sprawl", seed)
+        oracle = per_query_preprocess(
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
+        )
+        pq = plan_route(instance, config, preprocess=oracle)
+        inv = plan_route(_instance("sprawl", seed), config)
         assert pq.route.stops == inv.route.stops
         assert pq.route.path == inv.route.path
         assert pq.metrics == inv.metrics
 
 
 class TestAccounting:
-    """The strategy-defined ``searches`` / ``settled_nodes`` contract
-    (see the ``PreprocessResult`` docstring)."""
+    """The documented ``searches`` / ``settled_nodes`` contract (see
+    the ``PreprocessResult`` docstring)."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("family", ["grid", "radial", "sprawl"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_inverted_definition(self, family, kernel):
         instance = _instance(family, seed=3)
         engine = SearchEngine(instance.network, kernel=kernel)
-        result = preprocess_queries(instance, engine=engine, strategy="inverted")
+        result = preprocess_queries(instance, engine=engine)
         nodes = list(instance.query_counts)
         assert result.searches == 1 + len(nodes)
         assert len(result.nn_distance) == len(nodes)
@@ -139,78 +144,12 @@ class TestAccounting:
     def test_accounting_is_backend_independent(self, kernel):
         instance = _instance("grid", seed=5)
         reference = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel="python"),
-            strategy="inverted",
+            instance, engine=SearchEngine(instance.network, kernel="python")
         )
         other = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="inverted",
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
         )
         assert (reference.searches, reference.settled_nodes) == (
             other.searches,
             other.settled_nodes,
         )
-
-
-@pytest.mark.parallel
-class TestWorkersParity:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("family", ["grid", "radial", "sprawl"])
-    def test_inverted_workers_bit_identical(self, family, kernel):
-        instance = _instance(family, seed=3)
-        serial = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="inverted",
-            workers=1,
-        )
-        fanned = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="inverted",
-            workers=2,
-        )
-        assert_equal_preprocessing(serial, fanned)
-        assert (serial.searches, serial.settled_nodes) == (
-            fanned.searches,
-            fanned.settled_nodes,
-        )
-
-    @pytest.mark.parametrize("strategy", ["per-query", "inverted"])
-    def test_accounting_worker_count_independent(self, strategy):
-        """Satellite: ``searches``/``settled_nodes`` must not depend on
-        how the work was sharded — per strategy, serial == workers 2."""
-        instance = _instance("sprawl", seed=7)
-        by_workers = {
-            workers: preprocess_queries(
-                instance,
-                engine=SearchEngine(instance.network),
-                strategy=strategy,
-                workers=workers,
-            )
-            for workers in (1, 2)
-        }
-        assert (by_workers[1].searches, by_workers[1].settled_nodes) == (
-            by_workers[2].searches,
-            by_workers[2].settled_nodes,
-        )
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_cross_strategy_cross_workers_grid(self, kernel):
-        """The full 2x2 (strategy x workers) grid agrees on output."""
-        reference = None
-        for strategy in ("per-query", "inverted"):
-            for workers in (1, 2):
-                instance = _instance("grid", seed=11)
-                result = preprocess_queries(
-                    instance,
-                    engine=SearchEngine(instance.network, kernel=kernel),
-                    strategy=strategy,
-                    workers=workers,
-                )
-                if reference is None:
-                    reference = result
-                else:
-                    assert_equal_preprocessing(reference, result)

@@ -27,7 +27,6 @@ class TestGetEndpoints:
         assert row["city"] == CITY
         assert row["max_stops"] == 20
         assert row["kernel"] in ("python", "vectorized")
-        assert row["preprocess_strategy"] in ("per-query", "inverted")
         assert row["nodes"] > 0
         assert row["queries"] > 0
 
@@ -68,6 +67,9 @@ class TestComputeEndpoints:
         assert body["violations"] == []
         assert body["metrics"]["num_stops"] == len(body["route"]["stops"])
         assert body["config"]["max_stops"] == 20
+        assert set(body["config"]) == {
+            "max_stops", "max_adjacent_cost", "alpha", "kernel"
+        }
         assert body["request_id"].startswith("req-")
         assert "total" in body["timings"]
 
