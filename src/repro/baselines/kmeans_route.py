@@ -103,8 +103,8 @@ class KMeansRoute(RoutePlanner):
         )
         stops: List[int] = []
         seen = set()
-        for cx, cy in centroids:
-            node = eligible[index.nearest((float(cx), float(cy)))]
+        for i in index.nearest_many(centroids[:, 0], centroids[:, 1]).tolist():
+            node = eligible[i]
             if node not in seen:
                 seen.add(node)
                 stops.append(node)

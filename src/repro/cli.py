@@ -27,6 +27,7 @@ exists for instant, zero-code reproduction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional, Sequence
@@ -380,21 +381,21 @@ def _cmd_plan(args) -> int:
     code = _resolve_runtime_choices(args)
     if code:
         return code
-    dataset = load_city(args.city, scale=args.scale)
-    alpha = args.alpha if args.alpha is not None else calibrated_alpha(dataset)
-    instance = dataset.instance(alpha)
-    config = EBRRConfig(
-        max_stops=args.max_stops,
-        max_adjacent_cost=args.max_adjacent_cost,
-        alpha=alpha,
-        kernel=args.kernel,
-    )
-    if args.trace:
-        with tracing() as trace:
-            result = plan_route(instance, config)
-        _write_trace(trace, args.trace)
-    else:
+    # The trace covers the dataset build and the calibration too; the
+    # plan's own timings come from its own spans either way.
+    with tracing() if args.trace else contextlib.nullcontext() as trace:
+        dataset = load_city(args.city, scale=args.scale)
+        alpha = args.alpha if args.alpha is not None else calibrated_alpha(dataset)
+        instance = dataset.instance(alpha)
+        config = EBRRConfig(
+            max_stops=args.max_stops,
+            max_adjacent_cost=args.max_adjacent_cost,
+            alpha=alpha,
+            kernel=args.kernel,
+        )
         result = plan_route(instance, config)
+    if args.trace:
+        _write_trace(trace, args.trace)
     print(f"{dataset.name} (scale {args.scale}), alpha={alpha:.2f}")
     print(result.summary())
     print("stops:", " -> ".join(str(s) for s in result.route.stops))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.utility import BRRInstance
 from ..demand.generators import hotspot_demand
@@ -31,6 +31,7 @@ from ..exceptions import ConfigurationError
 from ..network.generators import grid_city, radial_city, sprawl_city
 from ..network.geometry import Point, bounding_box
 from ..network.graph import RoadNetwork
+from ..obs import span
 from ..transit.builder import build_transit_network
 from ..transit.network import TransitNetwork
 
@@ -92,22 +93,17 @@ def chicago(scale: float = 0.15, *, seed: int = 7) -> CityDataset:
     target_nodes = _scaled(PAPER_SIZES["Chicago"]["V"], scale, minimum=400)
     # The coastline cut removes ~20% of lattice nodes.
     side = max(20, round(math.sqrt(target_nodes / 0.8)))
-    network = grid_city(rows=side, cols=side, block_km=0.25, coastline=0.8, seed=seed)
-    transit = build_transit_network(
-        network,
+    network, transit, queries = _build(
+        "Chicago",
+        scale,
+        seed,
+        lambda: grid_city(rows=side, cols=side, block_km=0.25, coastline=0.8, seed=seed),
         num_routes=max(6, round(40 * scale / 0.15)),
         stop_spacing_km=0.4,
-        seed=seed + 1,
-    )
-    queries = hotspot_demand(
-        network,
-        _scaled(PAPER_SIZES["Chicago"]["Q"], scale, minimum=2000),
+        num_queries=_scaled(PAPER_SIZES["Chicago"]["Q"], scale, minimum=2000),
         num_hotspots=10,
         sigma_km=0.9,
-        transit=transit,
         uncovered_fraction=0.5,
-        seed=seed + 2,
-        name="Chicago-Q",
     )
     return CityDataset("Chicago", network, transit, queries, regions=None, scale=scale)
 
@@ -117,28 +113,23 @@ def nyc(scale: float = 0.15, *, seed: int = 11) -> CityDataset:
     _check_scale(scale)
     target_nodes = _scaled(PAPER_SIZES["NYC"]["V"], scale, minimum=600)
     per_borough = max(150, target_nodes // 4)
-    network = radial_city(
-        num_boroughs=4,
-        nodes_per_borough=per_borough,
-        borough_radius_km=3.5,
-        spacing_km=7.5,
-        seed=seed,
-    )
-    transit = build_transit_network(
-        network,
+    network, transit, queries = _build(
+        "NYC",
+        scale,
+        seed,
+        lambda: radial_city(
+            num_boroughs=4,
+            nodes_per_borough=per_borough,
+            borough_radius_km=3.5,
+            spacing_km=7.5,
+            seed=seed,
+        ),
         num_routes=max(6, round(36 * scale / 0.15)),
         stop_spacing_km=0.4,
-        seed=seed + 1,
-    )
-    queries = hotspot_demand(
-        network,
-        _scaled(PAPER_SIZES["NYC"]["Q"], scale, minimum=2000),
+        num_queries=_scaled(PAPER_SIZES["NYC"]["Q"], scale, minimum=2000),
         num_hotspots=12,
         sigma_km=1.0,
-        transit=transit,
         uncovered_fraction=0.4,
-        seed=seed + 2,
-        name="NYC-Q",
     )
     regions = _nyc_regions(network)
     return CityDataset("NYC", network, transit, queries, regions=regions, scale=scale)
@@ -168,29 +159,63 @@ def orlando(scale: float = 0.15, *, seed: int = 13) -> CityDataset:
     """Orlando: low-density sprawl around arterial corridors."""
     _check_scale(scale)
     target_nodes = _scaled(PAPER_SIZES["Orlando"]["V"], scale, minimum=400)
-    network = sprawl_city(
-        num_nodes=target_nodes,
-        extent_km=16.0,
-        arterial_count=6,
-        seed=seed,
-    )
-    transit = build_transit_network(
-        network,
+    network, transit, queries = _build(
+        "Orlando",
+        scale,
+        seed,
+        lambda: sprawl_city(
+            num_nodes=target_nodes,
+            extent_km=16.0,
+            arterial_count=6,
+            seed=seed,
+        ),
         num_routes=max(4, round(18 * scale / 0.15)),
         stop_spacing_km=0.45,
-        seed=seed + 1,
-    )
-    queries = hotspot_demand(
-        network,
-        _scaled(PAPER_SIZES["Orlando"]["Q"], scale, minimum=1000),
+        num_queries=_scaled(PAPER_SIZES["Orlando"]["Q"], scale, minimum=1000),
         num_hotspots=8,
         sigma_km=1.1,
-        transit=transit,
         uncovered_fraction=0.6,  # Orlando's case study is growth-driven
-        seed=seed + 2,
-        name="Orlando-Q",
     )
     return CityDataset("Orlando", network, transit, queries, regions=None, scale=scale)
+
+
+def _build(
+    name: str,
+    scale: float,
+    seed: int,
+    make_network: Callable[[], RoadNetwork],
+    *,
+    num_routes: int,
+    stop_spacing_km: float,
+    num_queries: int,
+    num_hotspots: int,
+    sigma_km: float,
+    uncovered_fraction: float,
+) -> Tuple[RoadNetwork, TransitNetwork, QuerySet]:
+    """Network, transit and demand of one city, each under its own
+    span inside a ``datasets.load`` span."""
+    with span("datasets.load", city=name, scale=scale):
+        with span("datasets.network"):
+            network = make_network()
+        with span("datasets.transit"):
+            transit = build_transit_network(
+                network,
+                num_routes=num_routes,
+                stop_spacing_km=stop_spacing_km,
+                seed=seed + 1,
+            )
+        with span("datasets.demand"):
+            queries = hotspot_demand(
+                network,
+                num_queries,
+                num_hotspots=num_hotspots,
+                sigma_km=sigma_km,
+                transit=transit,
+                uncovered_fraction=uncovered_fraction,
+                seed=seed + 2,
+                name=f"{name}-Q",
+            )
+    return network, transit, queries
 
 
 def _check_scale(scale: float) -> None:

@@ -19,14 +19,15 @@ case studies).  The generators below reproduce that structure:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import DemandError
 from ..network.engine import engine_for
-from ..network.geometry import GridIndex, bounding_box
+from ..network.geometry import GridIndex, Point, bounding_box
 from ..network.graph import RoadNetwork
+from ..obs import span
 from ..transit.network import TransitNetwork
 from .query import QuerySet, TransitQuery
 
@@ -82,18 +83,17 @@ def hotspot_demand(
     centers = _pick_hotspot_centers(
         network, num_hotspots, transit, uncovered_fraction, rng
     )
-    index = GridIndex(network.coordinates(), cell_size=max(sigma_km, 0.25))
     coords = network.coordinates()
 
-    nodes: List[int] = []
     num_background = int(num_nodes * background_fraction)
-    for _ in range(num_background):
-        nodes.append(int(rng.integers(0, network.num_nodes)))
-    for _ in range(num_nodes - num_background):
+    nodes = [int(rng.integers(0, network.num_nodes)) for _ in range(num_background)]
+    xs = np.empty(num_nodes - num_background)
+    ys = np.empty_like(xs)
+    for i in range(xs.size):
         cx, cy = coords[centers[int(rng.integers(0, len(centers)))]]
-        x = cx + rng.normal(0.0, sigma_km)
-        y = cy + rng.normal(0.0, sigma_km)
-        nodes.append(index.nearest((x, y)))
+        xs[i] = cx + rng.normal(0.0, sigma_km)
+        ys[i] = cy + rng.normal(0.0, sigma_km)
+    nodes += snap(coords, xs, ys, sigma_km)
     return QuerySet(network, nodes, name=name)
 
 
@@ -115,26 +115,45 @@ def commute_demand(
         raise DemandError(f"num_queries must be >= 1, got {num_queries}")
     rng = np.random.default_rng(seed)
     coords = network.coordinates()
-    index = GridIndex(coords, cell_size=max(sigma_km, 0.25))
     min_x, min_y, max_x, max_y = bounding_box(coords)
     core = ((min_x + max_x) / 2.0, (min_y + max_y) / 2.0)
     residential = [
         coords[int(rng.integers(0, network.num_nodes))] for _ in range(num_residential)
     ]
-    queries: List[TransitQuery] = []
-    for _ in range(num_queries):
+    # Origins in the first half, destinations in the second.
+    xs = np.empty(2 * num_queries)
+    ys = np.empty_like(xs)
+    for i in range(num_queries):
         rx, ry = residential[int(rng.integers(0, num_residential))]
-        origin = index.nearest(
-            (rx + rng.normal(0, sigma_km), ry + rng.normal(0, sigma_km))
-        )
-        destination = index.nearest(
-            (core[0] + rng.normal(0, sigma_km), core[1] + rng.normal(0, sigma_km))
-        )
-        if origin != destination:
-            queries.append(TransitQuery(origin, destination))
+        xs[i] = rx + rng.normal(0, sigma_km)
+        ys[i] = ry + rng.normal(0, sigma_km)
+        xs[num_queries + i] = core[0] + rng.normal(0, sigma_km)
+        ys[num_queries + i] = core[1] + rng.normal(0, sigma_km)
+    nodes = snap(coords, xs, ys, sigma_km)
+    queries = [
+        TransitQuery(origin, destination)
+        for origin, destination in zip(nodes[:num_queries], nodes[num_queries:])
+        if origin != destination
+    ]
     if not queries:
         raise DemandError("commute_demand produced no distinct OD pairs")
     return queries
+
+
+def snap(
+    coords: Sequence[Point], xs: np.ndarray, ys: np.ndarray, sigma_km: float
+) -> List[int]:
+    """The node nearest to each location sampled with spread
+    ``sigma_km``, in one batched grid query under a ``demand.snap``
+    span."""
+    with span("demand.snap", samples=int(xs.size)) as live:
+        index = GridIndex(coords, cell_size=max(sigma_km, 0.25))
+        # One int object per node, shared by all samples snapped to it:
+        # a million query nodes then hold |V| ints, not a million.
+        node_ids = list(range(len(coords)))
+        nodes = [node_ids[i] for i in index.nearest_many(xs, ys).tolist()]
+        live.set(widened=index.widened)
+    return nodes
 
 
 def _pick_hotspot_centers(

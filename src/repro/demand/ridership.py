@@ -27,9 +27,9 @@ import numpy as np
 
 from ..exceptions import DemandError
 from ..network.engine import engine_for
-from ..network.geometry import GridIndex
 from ..network.graph import RoadNetwork
 from ..transit.network import TransitNetwork
+from .generators import snap
 from .query import QuerySet
 
 
@@ -67,7 +67,6 @@ def ridership_demand(
         raise DemandError("ridership_demand needs a transit network with stops")
     rng = np.random.default_rng(seed)
     coords = network.coordinates()
-    index = GridIndex(coords, cell_size=max(sigma_km, 0.25))
 
     # Heavy-tailed ridership weights per stop; stops on more routes get
     # a boost (transfer hubs see more boardings).
@@ -81,15 +80,17 @@ def ridership_demand(
     )
 
     num_growth = round(num_nodes * growth_fraction)
-    nodes: List[int] = []
-    for _ in range(num_nodes - num_growth):
-        stop = stops[int(rng.choice(len(stops), p=weights))]
-        cx, cy = coords[stop]
-        nodes.append(index.nearest((cx + rng.normal(0, sigma_km), cy + rng.normal(0, sigma_km))))
-    for _ in range(num_growth):
-        center = growth_centers[int(rng.integers(0, len(growth_centers)))]
+    xs = np.empty(num_nodes)
+    ys = np.empty_like(xs)
+    for i in range(num_nodes):
+        if i < num_nodes - num_growth:
+            center = stops[int(rng.choice(len(stops), p=weights))]
+        else:
+            center = growth_centers[int(rng.integers(0, len(growth_centers)))]
         cx, cy = coords[center]
-        nodes.append(index.nearest((cx + rng.normal(0, sigma_km), cy + rng.normal(0, sigma_km))))
+        xs[i] = cx + rng.normal(0, sigma_km)
+        ys[i] = cy + rng.normal(0, sigma_km)
+    nodes = snap(coords, xs, ys, sigma_km)
     return QuerySet(network, nodes, name=name)
 
 

@@ -71,11 +71,12 @@ def calibrated_alpha(
     if key not in _ALPHA_CACHE:
         from ..core.preprocess import preprocess_queries
 
-        instance = dataset.instance(1.0)
-        pre = preprocess_queries(instance)
-        gains = sorted(
-            (pre.initial_utility[v] for v in instance.candidates), reverse=True
-        )
+        with span("eval.calibrate_alpha", city=dataset.name):
+            instance = dataset.instance(1.0)
+            pre = preprocess_queries(instance)
+            gains = sorted(
+                (pre.initial_utility[v] for v in instance.candidates), reverse=True
+            )
         top = gains[: max(1, top_k)]
         mean_gain = sum(top) / len(top)
         _ALPHA_CACHE[key] = max(mean_gain, 1e-6)

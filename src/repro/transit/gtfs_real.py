@@ -91,14 +91,13 @@ def load_gtfs_feed(
         mean_lat = sum(lat for lat, _ in stops.values()) / len(stops)
         cos_lat = math.cos(math.radians(mean_lat))
 
-    # Project + snap every referenced stop once.
-    index = GridIndex(network.coordinates(), cell_size=0.5)
+    # Project every stop, then snap them all in one query.
+    xs = [lon * KM_PER_DEGREE * cos_lat for _, lon in stops.values()]
+    ys = [lat * KM_PER_DEGREE for lat, _ in stops.values()]
+    nodes = GridIndex(network.coordinates(), cell_size=0.5).nearest_many(xs, ys)
     node_of: Dict[str, int] = {}
     snap_distances: List[float] = []
-    for stop_id, (lat, lon) in stops.items():
-        x = lon * KM_PER_DEGREE * cos_lat
-        y = lat * KM_PER_DEGREE
-        node = index.nearest((x, y))
+    for stop_id, x, y, node in zip(stops, xs, ys, nodes.tolist()):
         node_of[stop_id] = node
         nx, ny = network.coordinate(node)
         snap_distances.append(math.hypot(nx - x, ny - y))
@@ -153,12 +152,12 @@ def _read_stops(path: Path) -> Dict[str, Tuple[float, float]]:
     stops: Dict[str, Tuple[float, float]] = {}
     for row_no, row in enumerate(rows, start=2):
         try:
-            stops[row["stop_id"]] = (
-                float(row["stop_lat"]),
-                float(row["stop_lon"]),
-            )
+            lat, lon = float(row["stop_lat"]), float(row["stop_lon"])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{row_no}: {exc}") from exc
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise DataFormatError(f"{path}:{row_no}: stop coordinates must be finite")
+        stops[row["stop_id"]] = (lat, lon)
     if not stops:
         raise DataFormatError(f"{path}: no stops")
     return stops

@@ -6,7 +6,9 @@ a service that leaks ``Traceback (most recent call last)`` to clients
 leaks its internals.
 """
 
+import http.client
 import json
+import time
 
 from .conftest import CITY
 
@@ -210,3 +212,22 @@ class TestCleanErrors:
         status, raw = live.raw_post("/v1/plan", blob)
         assert status == 413
         assert "exceeds" in raw
+
+
+class TestTransport:
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, live):
+        # A response written as headers, then body, waits for the
+        # client's delayed ACK of the headers (~40 ms each, Nagle); one
+        # write answers a /healthz in about a millisecond.
+        conn = http.client.HTTPConnection("127.0.0.1", live.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4

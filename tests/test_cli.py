@@ -112,6 +112,24 @@ class TestTrace:
         assert "plan_route" in names and "preprocess" in names
         assert metrics["counters"]["search.total.searches"] > 0
 
+    def test_plan_trace_covers_dataset_build_and_calibration(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.datasets import registry
+        from repro.obs import load_chrome_trace
+
+        # An empty dataset cache, so the city is built inside the trace.
+        monkeypatch.setattr(registry, "_CACHE", {})
+        target = tmp_path / "plan-trace.json"
+        assert main(
+            ["plan", "--city", "orlando", "--scale", "0.05", "-k", "5",
+             "--trace", str(target)]
+        ) == 0
+        capsys.readouterr()
+        spans, _ = load_chrome_trace(str(target))
+        roots = [s.name for s in spans if s.parent is None]
+        assert roots == ["datasets.load", "eval.calibrate_alpha", "plan_route"]
+
     def test_trace_summarize_round_trip(self, capsys, tmp_path):
         target = tmp_path / "plan-trace.json"
         assert main(

@@ -79,6 +79,20 @@ class TestImport:
         assert list(transit.routes()[0].stops) == [7, 9]
         assert report.max_snap_km == pytest.approx(0.1, abs=1e-3)
 
+    def test_far_stop_snaps_to_its_nearest_node(self, grid_network, tmp_path):
+        # Node 5 is the 5 km network's south-east corner; the stop sits
+        # 40 km east of it, far past the network's extent.
+        lat, lon = _lonlat(grid_network, 5)
+        stops = [("a", *_lonlat(grid_network, 0)),
+                 ("far", lat, lon + 40.0 / KM_PER_DEGREE)]
+        _write_feed(
+            tmp_path, stops, [("R", "T")],
+            [("T", "a", 0), ("T", "far", 1)],
+        )
+        transit, report = load_gtfs_feed(grid_network, tmp_path, cos_lat=1.0)
+        assert list(transit.routes()[0].stops) == [0, 5]
+        assert report.max_snap_km == pytest.approx(40.0, abs=1e-6)
+
     def test_representative_trip_is_longest(self, grid_network, feed_dir):
         transit, _ = load_gtfs_feed(grid_network, feed_dir, cos_lat=1.0)
         route_a = next(r for r in transit.routes() if r.route_id == "A")
@@ -122,6 +136,14 @@ class TestErrors:
         )
         with pytest.raises(DataFormatError):
             load_gtfs_feed(grid_network, tmp_path)
+
+    def test_non_finite_coordinates(self, grid_network, tmp_path):
+        _write_feed(
+            tmp_path, [("x", "nan", 0.0), ("y", 0.0, 0.0)], [("R", "T")],
+            [("T", "x", 0), ("T", "y", 1)],
+        )
+        with pytest.raises(DataFormatError, match="finite"):
+            load_gtfs_feed(grid_network, tmp_path, cos_lat=1.0)
 
     def test_single_stop_route_skipped(self, grid_network, tmp_path):
         lat, lon = _lonlat(grid_network, 3)
