@@ -10,11 +10,9 @@ method.  Faithfully to the paper's description:
   graph (this is the phase the original system spends hours on; here
   it is seconds-scale but still reported separately, and the paper's
   comparison likewise excludes it from query time);
-* the **query** phase generates a pool of candidate routes — either by
-  growing paths from high-frequency seed edges through high-frequency
-  neighbouring edges (``candidate_strategy="grow"``, the default) or by
-  taking Yen's k shortest paths between the busiest demand endpoints
-  (``candidate_strategy="ksp"``) — and scores every candidate with
+* the **query** phase generates a pool of candidate routes by growing
+  paths from high-frequency seed edges through high-frequency
+  neighbouring edges, scores every candidate with
   ``matched_trajectories + weight · natural_connectivity_gain``
   (the expensive dense-eigendecomposition per candidate), and returns
   the best.
@@ -40,12 +38,7 @@ from ..transit.builder import place_stops_along_path
 from ..transit.route import BusRoute
 from .base import BaselinePlan, RoutePlanner
 from .natural_connectivity import NaturalConnectivityGain
-from .trajectories import (
-    EdgeKey,
-    Trajectory,
-    edge_frequencies,
-    synthesize_trajectories,
-)
+from .trajectories import EdgeKey, edge_frequencies, synthesize_trajectories
 
 
 class ETAPre(RoutePlanner):
@@ -59,9 +52,6 @@ class ETAPre(RoutePlanner):
         connectivity_weight: weight of the natural-connectivity term.
         stop_spacing_km: spacing used to drop K stops on each candidate
             path (ETA-Pre has no C constraint; this is its own knob).
-        candidate_strategy: ``"grow"`` (frequency-guided path growth)
-            or ``"ksp"`` (Yen's k shortest paths between busy demand
-            endpoints).
         seed: RNG seed for trajectory synthesis and seeding.
     """
 
@@ -75,16 +65,10 @@ class ETAPre(RoutePlanner):
         match_radius_km: float = 0.5,
         connectivity_weight: float = 5.0,
         stop_spacing_km: float = 0.6,
-        candidate_strategy: str = "grow",
         seed: int = 0,
     ) -> None:
         if num_candidates < 1:
             raise ConfigurationError("num_candidates must be >= 1")
-        if candidate_strategy not in ("grow", "ksp"):
-            raise ConfigurationError(
-                f"unknown candidate_strategy {candidate_strategy!r}"
-            )
-        self._strategy = candidate_strategy
         self._num_candidates = num_candidates
         self._traj_fraction = trajectories_per_query
         self._radius = match_radius_km
@@ -144,7 +128,7 @@ class ETAPre(RoutePlanner):
             if sampled[-1] != path[-1]:
                 sampled.append(path[-1])
             traj_points.append([instance.network.coordinate(v) for v in sampled])
-        self._cache = _Preprocessed(trajectories, frequencies, traj_points, gain_evaluator)
+        self._cache = _Preprocessed(frequencies, traj_points, gain_evaluator)
         self._cache_key = key
         return self._cache
 
@@ -159,8 +143,6 @@ class ETAPre(RoutePlanner):
         config: EBRRConfig,
         rng: np.random.Generator,
     ) -> List[BusRoute]:
-        if self._strategy == "ksp":
-            return self._generate_ksp_candidates(instance, pre, config)
         network = instance.network
         ranked_edges = sorted(
             pre.frequencies.items(), key=lambda item: -item[1]
@@ -224,52 +206,6 @@ class ETAPre(RoutePlanner):
             length += cost
         return path
 
-    def _generate_ksp_candidates(
-        self,
-        instance: BRRInstance,
-        pre: "_Preprocessed",
-        config: EBRRConfig,
-    ) -> List[BusRoute]:
-        """Yen's k shortest paths between the heaviest trajectory
-        endpoints — the "set of candidate paths" flavour of the
-        original system."""
-        from collections import Counter
-
-        from ..network.ksp import k_shortest_paths
-
-        endpoint_counts: Counter = Counter()
-        for trajectory in pre.trajectories:
-            endpoint_counts[trajectory[0]] += 1
-            endpoint_counts[trajectory[-1]] += 1
-        hubs = [node for node, _ in endpoint_counts.most_common(6)]
-        routes: List[BusRoute] = []
-        per_pair = max(2, self._num_candidates // max(1, len(hubs) - 1))
-        for i, origin in enumerate(hubs):
-            for destination in hubs[i + 1:]:
-                if len(routes) >= self._num_candidates:
-                    break
-                try:
-                    paths = k_shortest_paths(
-                        instance.network, origin, destination, per_pair
-                    )
-                except Exception:
-                    continue
-                for path, _cost in paths:
-                    stops = place_stops_along_path(
-                        instance.network, path, self._spacing
-                    )
-                    stops = _cap_stops(stops, config.max_stops)
-                    if len(stops) < 2:
-                        continue
-                    routes.append(
-                        BusRoute(f"eta_pre_ksp_{len(routes)}", stops, path)
-                    )
-                    if len(routes) >= self._num_candidates:
-                        break
-        if not routes:
-            raise ConfigurationError("ETA-Pre KSP candidate generation failed")
-        return routes
-
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
@@ -302,12 +238,10 @@ class _Preprocessed:
 
     def __init__(
         self,
-        trajectories: List[Trajectory],
         frequencies: Dict[EdgeKey, int],
         trajectory_points: List[List[Tuple[float, float]]],
         gain_evaluator: NaturalConnectivityGain,
     ) -> None:
-        self.trajectories = trajectories
         self.frequencies = frequencies
         self.trajectory_points = trajectory_points
         self.gain_evaluator = gain_evaluator

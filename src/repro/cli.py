@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="optional output GeoJSON path")
 
     lint = sub.add_parser(
-        "lint", help="check the source against the RL001-RL012 invariants"
+        "lint", help="check the source against the RL002-RL012 invariants"
     )
     lint.add_argument("paths", nargs="*", default=[],
                       help=("files or directories to lint (default: the "

@@ -2,21 +2,21 @@
 
 PR 1 centralised every graph search behind the cached
 :class:`~repro.network.engine.SearchEngine`; correctness now rests on
-conventions (no engine bypasses, version-bumped graph mutation,
+conventions (no kernel bypasses, version-bumped graph mutation,
 deterministic iteration, tolerant float comparison, fork-safe pool
 shipment, span-covered phases, kernel-confined hot loops) that code
 review alone cannot guarantee.  This package turns them into CI
 failures:
 
 * ``python -m repro.lint [paths]`` or ``repro lint [paths]``;
-* per-file rules RL001–RL009 plus cross-module rules RL010–RL012 built
+* per-file rules RL002–RL009 plus cross-module rules RL010–RL012 built
   on a whole-program :class:`~repro.lint.project.ProjectModel` and call
   graph (see ``--list-rules`` and DESIGN.md);
 * an on-disk incremental cache (content hash → parsed facts) keeping
   warm runs fast in CI and pre-commit;
 * output formats ``text``, ``json``, ``github`` (inline PR annotations);
 * per-line ``# reprolint : disable=RL003`` and per-file
-  ``# reprolint : disable-file=RL001`` suppressions (space added here
+  ``# reprolint : disable-file=RL004`` suppressions (space added here
   so the docstring is not itself a directive) — stale ones are
   reported as unused, and ``--baseline`` ratchets both violation and
   suppression counts downward only;

@@ -1,7 +1,7 @@
 """The analysis driver: files in, sorted violations out.
 
 The pipeline has two phases.  The **per-file** phase parses each file
-once, runs every per-file rule (RL001–RL009) over the tree, and
+once, runs every per-file rule (RL002–RL009) over the tree, and
 extracts the :class:`~repro.lint.project.FileFacts` record; both
 outputs are content-addressed, so the incremental cache
 (:mod:`repro.lint.cache`) can skip this phase entirely for unchanged

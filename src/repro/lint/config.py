@@ -3,10 +3,10 @@
 The config answers two questions the rules themselves cannot: which
 rules this repo wants (``disable``), and where an invariant legitimately
 does not apply (``exclude`` globally, ``[tool.reprolint.rule-excludes]``
-per rule).  The canonical example is RL001: the engine and the legacy
-Dijkstra module *are* the sanctioned implementations, so they are
-excluded from the engine-bypass rule by path rather than by littering
-them with inline suppressions.
+per rule).  The canonical example is RL009: the engine and the kernels
+package *are* the sanctioned importers of the kernel backends, so they
+are excluded from the kernel-confinement rule by path rather than by
+littering them with inline suppressions.
 
 TOML parsing is gated: ``tomllib`` (3.11+) or ``tomli`` when available,
 otherwise the analyzer silently runs with defaults — the lint pass must

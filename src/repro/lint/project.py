@@ -1,6 +1,6 @@
 """The whole-program project model: parse once, query everywhere.
 
-Per-file rules (RL001–RL009) see one file at a time; the invariants
+Per-file rules (RL002–RL009) see one file at a time; the invariants
 PRs 3–6 introduced are *cross-module* — "nothing reachable from a pool
 submission mutates module globals", "every phase entry point opens a
 span".  This module gives those rules something to query: one pass over

@@ -5,7 +5,6 @@ decorated with :func:`repro.lint.registry.register`).
 """
 
 from . import (  # noqa: F401
-    rl001_engine_bypass,
     rl002_cache_invalidation,
     rl003_determinism,
     rl004_float_equality,

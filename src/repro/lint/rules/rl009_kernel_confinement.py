@@ -1,17 +1,17 @@
 """RL009 — kernel backends are confined behind the engine.
 
 The :mod:`repro.network.kernels` package is the *algorithmic substrate*
-of the search layer — raw Dijkstra/frontier-relaxation loops with no
-caching, no stats ledger, and no snapshot invalidation.  Calling a
-kernel directly re-opens every hole :class:`SearchEngine` closed
-(RL001, one layer down): redundant searches, invisible work, stale CSR
-reads, and results that silently diverge from the profile the engine
-reports.  Only ``network/engine.py`` (the orchestrator) and the kernels
-package itself may import it; everyone else selects a backend *by
-name* — ``EBRRConfig.kernel``, ``--kernel``, ``$REPRO_KERNEL`` — and
-uses the helpers the engine re-exports (``available_kernels``,
-``resolve_kernel``, ``KERNEL_IDS``).  The sanctioned importers are
-excluded via ``[tool.reprolint.rule-excludes]``.
+of the search layer — raw Dijkstra loops with no caching, no stats
+ledger, and no snapshot invalidation.  Calling a kernel directly
+re-opens every hole :class:`SearchEngine` closed: redundant searches,
+invisible work, stale CSR reads, and results that silently diverge
+from the profile the engine reports.  Only ``network/engine.py`` (the
+orchestrator) and the kernels package itself may import it; everyone
+else selects a backend *by name* — ``EBRRConfig.kernel``,
+``--kernel``, ``$REPRO_KERNEL`` — and uses the helpers the engine
+re-exports (``available_kernels``, ``resolve_kernel``,
+``KERNEL_IDS``).  The sanctioned importers are excluded via
+``[tool.reprolint.rule-excludes]``.
 """
 
 from __future__ import annotations

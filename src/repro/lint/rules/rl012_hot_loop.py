@@ -13,10 +13,10 @@ backend exists to absorb.
 Detection is the facts pass's loop records: the **innermost** loop of a
 nest whose header or body reads one of those attributes, in any module
 outside the kernels package.  The sanctioned substrate (``engine.py``,
-``csr.py``, the legacy compat wrappers) is excluded by path in
-``[tool.reprolint.rule-excludes]``; the two known pre-existing hot
-loops (``astar.py``, ``transit/journey.py``) carry inline suppressions
-counted by the baseline ratchet — they may only disappear, never
+``csr.py``, ``graph.py``) is excluded by path in
+``[tool.reprolint.rule-excludes]``; the one known pre-existing hot loop
+(``transit/journey.py``) carries an inline suppression counted by the
+baseline ratchet — such suppressions may only disappear, never
 multiply.
 """
 

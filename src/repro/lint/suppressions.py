@@ -5,7 +5,7 @@ examples are not parsed as live directives by the line scanner):
 
 * line — ``x = risky()  # reprolint : disable=RL003`` silences the
   named rules for violations reported *on that line*;
-* file — a standalone ``# reprolint : disable-file=RL001`` comment
+* file — a standalone ``# reprolint : disable-file=RL004`` comment
   anywhere in the file (conventionally at the top) silences the named
   rules for the whole file.
 

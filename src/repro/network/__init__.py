@@ -1,30 +1,17 @@
 """Road network substrate: graphs, searches, generators, and I/O.
 
 This package implements Definition 1 (road network) and Definition 2
-(path) of the paper, the Dijkstra search family EBRR is built on, the
-DIMACS file format the paper's datasets use, and synthetic city
-generators that stand in for the Chicago/NYC/Orlando extracts.
+(path) of the paper, the Dijkstra search family EBRR is built on (one
+API: :class:`SearchEngine`), the DIMACS file format the paper's
+datasets use, and synthetic city generators that stand in for the
+Chicago/NYC/Orlando extracts.
 """
 
-from .astar import LandmarkIndex, astar_distance, astar_path
 from .candidates import candidate_mask, insert_edge_midpoints, node_candidates
-from .contraction import ContractionHierarchy
 from .csr import CSRAdjacency
 from .engine import CacheInfo, IncrementalNearest, SearchEngine, SearchStats, engine_for
-from .dijkstra import (  # reprolint: disable=RL001  (public re-export)
-    IncrementalNearestDistance,
-    distance_between,
-    multi_source_costs,
-    query_preprocessing_search,
-    search_to_nearest,
-    shortest_path,
-    shortest_path_costs,
-)
 from .dimacs import read_dimacs, write_dimacs
 from .generators import grid_city, radial_city, sprawl_city
-from .interop import from_networkx, to_networkx
-from .ksp import k_shortest_paths
-from .simplify import SimplifiedNetwork, contract_degree_two
 from .geometry import GridIndex, bounding_box, euclidean, interpolate, midpoint
 from .graph import RoadNetwork
 
@@ -36,27 +23,11 @@ __all__ = [
     "CacheInfo",
     "IncrementalNearest",
     "engine_for",
-    "shortest_path_costs",
-    "shortest_path",
-    "distance_between",
-    "search_to_nearest",
-    "query_preprocessing_search",
-    "multi_source_costs",
-    "IncrementalNearestDistance",
     "grid_city",
     "radial_city",
     "sprawl_city",
     "read_dimacs",
     "write_dimacs",
-    "astar_path",
-    "astar_distance",
-    "LandmarkIndex",
-    "ContractionHierarchy",
-    "k_shortest_paths",
-    "contract_degree_two",
-    "SimplifiedNetwork",
-    "to_networkx",
-    "from_networkx",
     "insert_edge_midpoints",
     "node_candidates",
     "candidate_mask",

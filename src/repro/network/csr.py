@@ -7,9 +7,9 @@ are built once per network snapshot, so the hot inner loop touches only
 local list indexing (no method call, no tuple unpacking).
 
 The neighbor order inside each row is **exactly** the order of
-``network.neighbors(u)``; heap tie-breaking therefore matches the
-legacy free functions in :mod:`repro.network.dijkstra` bit for bit,
-which the equivalence test suite relies on.
+``network.neighbors(u)``, so heap tie-breaking is fixed by the graph
+alone and every kernel backend settles nodes in the same order (the
+relaxation-order contract of :mod:`repro.network.kernels.base`).
 
 One snapshot serves **both** kernel backends.  The python kernel reads
 the list views positionally (plain list indexing is CPython's fastest

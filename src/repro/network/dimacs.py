@@ -131,9 +131,15 @@ def _read_arcs(path: Path) -> Tuple[int, List[Tuple[int, int, float]]]:
                 if len(fields) != 4:
                     raise DataFormatError(f"{path}:{line_no}: bad arc line {line!r}")
                 try:
-                    arcs.append((int(fields[1]), int(fields[2]), float(fields[3])))
+                    u, v, cost = int(fields[1]), int(fields[2]), float(fields[3])
                 except ValueError as exc:
                     raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+                if not 0.0 < cost < math.inf:
+                    raise DataFormatError(
+                        f"{path}:{line_no}: arc cost must be positive and "
+                        f"finite, got {fields[3]!r}"
+                    )
+                arcs.append((u, v, cost))
             else:
                 raise DataFormatError(f"{path}:{line_no}: unknown record {fields[0]!r}")
     if n_declared is None:
@@ -155,9 +161,14 @@ def _read_coordinates(path: Path) -> Dict[int, Tuple[float, float]]:
                 if len(fields) != 4:
                     raise DataFormatError(f"{path}:{line_no}: bad vertex line {line!r}")
                 try:
-                    coords[int(fields[1])] = (float(fields[2]), float(fields[3]))
+                    node, x, y = int(fields[1]), float(fields[2]), float(fields[3])
                 except ValueError as exc:
                     raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise DataFormatError(
+                        f"{path}:{line_no}: non-finite coordinate {line!r}"
+                    )
+                coords[node] = (x, y)
             else:
                 raise DataFormatError(f"{path}:{line_no}: unknown record {fields[0]!r}")
     if not coords:

@@ -26,18 +26,13 @@ with a single owned, cacheable, observable substrate:
   :mod:`repro.network.kernels`: the engine owns caching, stats and
   snapshot invalidation and delegates every primitive search to a
   :class:`~repro.network.kernels.base.SearchKernel` (``python`` heapq
-  reference or numpy ``vectorized``), selected by name via
+  reference or scipy ``vectorized``), selected by name via
   ``EBRRConfig.kernel`` / ``--kernel`` / ``$REPRO_KERNEL``.  Backends
   are bit-identical by contract, so :meth:`SearchEngine.set_kernel`
   swaps mid-run without invalidating caches.
 
 Results returned from cached entries are the cached objects themselves:
 **treat every returned list as read-only.**
-
-Algorithmic behaviour is bit-identical to the legacy free functions in
-:mod:`repro.network.dijkstra` (same neighbor order, same tie-breaking,
-same epsilon) — the equivalence test suite asserts this on grid, radial
-and sprawl generators.
 
 This module is the only importer of :mod:`repro.network.kernels`
 (reprolint RL009); it re-exports :func:`available_kernels`,
@@ -99,8 +94,8 @@ class SearchStats:
             both kernels count the same node sets).
         pushes: frontier insertions over all searches, including seeds.
             This is the one *backend-defined* counter — heap pushes for
-            the python kernel, scatter-min improvements for the
-            vectorized one (see ``kernels.base``).
+            the python kernel, reached-node counts for the vectorized
+            one (see ``kernels.base``).
         truncated: nodes discarded for exceeding a cost bound
             (backend-independent).
     """
@@ -411,7 +406,7 @@ class SearchEngine:
     ) -> List[float]:
         """Single-source shortest path costs (cached).
 
-        Equivalent to :func:`repro.network.dijkstra.shortest_path_costs`;
+        ``dist[v]`` is the cost of the cheapest path ``source -> v``;
         with ``max_cost`` nodes beyond the bound are ``inf``.  The
         returned list is shared with the cache — **read-only**.
 
@@ -454,9 +449,9 @@ class SearchEngine:
         cached: bool = True,
     ) -> List[float]:
         """Cost of the cheapest path from *any* source to each node
-        (cached; equivalent to
-        :func:`repro.network.dijkstra.multi_source_costs`).  The
-        returned list is shared with the cache — **read-only**."""
+        (cached; Dijkstra from a virtual super-source joined to every
+        source by a zero-cost edge).  The returned list is shared with
+        the cache — **read-only**."""
         self._sync()
         stats = self.counters(phase)
         source_list = list(sources)
@@ -477,9 +472,9 @@ class SearchEngine:
     def path(
         self, source: int, target: int, *, phase: str = "adhoc"
     ) -> Tuple[List[int], float]:
-        """The cheapest path between two nodes and its cost (cached;
-        equivalent to :func:`repro.network.dijkstra.shortest_path`).
-        The returned path list is shared with the cache — **read-only**.
+        """The cheapest path between two nodes and its cost (cached).
+        The path starts at ``source`` and ends at ``target``; the list
+        is shared with the cache — **read-only**.
 
         Raises:
             GraphError: if ``target`` is unreachable.
@@ -502,8 +497,7 @@ class SearchEngine:
         upper_bound: Optional[float] = None,
         phase: str = "adhoc",
     ) -> float:
-        """Network distance between two nodes with target early stop
-        (equivalent to :func:`repro.network.dijkstra.distance_between`).
+        """Network distance between two nodes with target early stop.
         Served from a cached SSSP row when one exists; ``inf`` when
         ``upper_bound`` is given and the true distance exceeds it.
 
@@ -564,9 +558,8 @@ class SearchEngine:
         phase: str = "adhoc",
     ) -> Tuple[int, float]:
         """Settle outward from ``source`` until a node satisfying
-        ``is_target`` is found (equivalent to
-        :func:`repro.network.dijkstra.search_to_nearest`; uncached — the
-        predicate is opaque).
+        ``is_target`` is found; by the Dijkstra property the first one
+        settled is the nearest (uncached — the predicate is opaque).
 
         Raises:
             GraphError: if no target node is reachable.
@@ -583,11 +576,13 @@ class SearchEngine:
         *,
         phase: str = "adhoc",
     ) -> Tuple[int, float, List[Tuple[int, float]]]:
-        """The per-query search of Algorithm 2 (equivalent to
-        :func:`repro.network.dijkstra.query_preprocessing_search`):
-        Dijkstra from ``query_node`` until the first settled existing
-        stop, collecting candidate stops settled on the way.  Uncached —
-        the result depends on the instance's stop masks, not only on the
+        """The per-query search of Algorithm 2 (lines 2-10): Dijkstra
+        from ``query_node`` until the first settled existing stop
+        ``nn(q)``, collecting the candidate stops settled strictly
+        before it with their distances — exactly the stops whose
+        reverse-nearest-neighbour sets contain the query.  Returns
+        ``(nn_stop, nn_distance, visited_candidates)``.  Uncached — the
+        result depends on the instance's stop masks, not only on the
         graph.
 
         Raises:
@@ -751,10 +746,13 @@ class SearchEngine:
 class IncrementalNearest:
     """Nearest-distance-to-a-growing-set maintenance on the engine.
 
-    Behaviourally identical to
-    :class:`repro.network.dijkstra.IncrementalNearestDistance` (the
-    equivalence suite asserts it) but runs on the engine's CSR arrays
-    and accounts its pruned relaxation searches to the engine's stats.
+    Maintains ``distance[v] = min over s in S of dist(v, s)`` for a set
+    ``S`` that only grows.  Adding a source runs one Dijkstra from it,
+    pruned wherever the tentative cost is no better than the known
+    distance, and accounts that search to the engine's stats.  EBRR
+    uses it to keep every candidate stop's distance to the current
+    solution set ``B`` (the price function) without re-running
+    searches.
     """
 
     def __init__(self, engine: SearchEngine, phase: str) -> None:

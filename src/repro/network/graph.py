@@ -1,9 +1,9 @@
 """The road network data structure (Definition 1 of the paper).
 
 A :class:`RoadNetwork` is a connected undirected graph whose nodes are
-integers ``0..n-1`` with planar coordinates and whose edges carry a
-positive cost (kilometres by convention, but any user-preferred cost
-such as travel time works — see Definition 1).
+integers ``0..n-1`` with finite planar coordinates and whose edges carry
+a positive, finite cost (kilometres by convention, but any
+user-preferred cost such as travel time works — see Definition 1).
 
 The representation is a compact adjacency list: ``_adj[u]`` is a list of
 ``(v, cost)`` pairs.  Node ids being dense integers lets every algorithm
@@ -14,6 +14,7 @@ with 10^4-10^5 nodes.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import GraphError
@@ -29,9 +30,9 @@ class RoadNetwork:
         coordinates: planar ``(x, y)`` position of each node, indexed by
             node id.  Units are kilometres by convention so that the
             Euclidean metric lower-bounds edge costs.
-        edges: iterable of ``(u, v, cost)`` triples with ``cost > 0``.
-            Parallel edges are collapsed to the cheapest; self loops are
-            rejected.
+        edges: iterable of ``(u, v, cost)`` triples with
+            ``0 < cost < inf``.  Parallel edges are collapsed to the
+            cheapest; self loops are rejected.
         validate_connected: verify the graph is connected (Definition 1
             requires it).  Disable only for intermediate construction.
     """
@@ -47,6 +48,9 @@ class RoadNetwork:
         n = len(self._coords)
         if n == 0:
             raise GraphError("a road network needs at least one node")
+        for node, (x, y) in enumerate(self._coords):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GraphError(f"node {node} has non-finite coordinate ({x}, {y})")
         self._adj: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         seen: Dict[Tuple[int, int], float] = {}
         for u, v, cost in edges:
@@ -54,8 +58,7 @@ class RoadNetwork:
                 raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
             if u == v:
                 raise GraphError(f"self loop at node {u} is not allowed")
-            if cost <= 0:
-                raise GraphError(f"edge ({u}, {v}) has non-positive cost {cost}")
+            _check_cost(u, v, cost)
             key = (u, v) if u < v else (v, u)
             prev = seen.get(key)
             if prev is None or cost < prev:
@@ -156,8 +159,8 @@ class RoadNetwork:
         """Add a new undirected edge ``(u, v)`` with ``cost``.
 
         Raises:
-            GraphError: on self loops, out-of-range nodes, non-positive
-                cost, or if the edge already exists (use
+            GraphError: on self loops, out-of-range nodes, a cost outside
+                ``(0, inf)``, or if the edge already exists (use
                 :meth:`set_edge_cost` to re-cost an edge).
         """
         n = self.num_nodes
@@ -165,8 +168,7 @@ class RoadNetwork:
             raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
         if u == v:
             raise GraphError(f"self loop at node {u} is not allowed")
-        if cost <= 0:
-            raise GraphError(f"edge ({u}, {v}) has non-positive cost {cost}")
+        _check_cost(u, v, cost)
         key = (u, v) if u < v else (v, u)
         if key in self._edge_costs:
             raise GraphError(f"edge ({u}, {v}) already exists")
@@ -179,10 +181,10 @@ class RoadNetwork:
         """Change the cost of the existing edge ``(u, v)``.
 
         Raises:
-            GraphError: if the edge does not exist or ``cost <= 0``.
+            GraphError: if the edge does not exist or ``cost`` is outside
+                ``(0, inf)``.
         """
-        if cost <= 0:
-            raise GraphError(f"edge ({u}, {v}) has non-positive cost {cost}")
+        _check_cost(u, v, cost)
         key = (u, v) if u < v else (v, u)
         if key not in self._edge_costs:
             raise GraphError(f"no edge between {u} and {v}")
@@ -300,3 +302,10 @@ class RoadNetwork:
 
     def __repr__(self) -> str:
         return f"RoadNetwork(|V|={self.num_nodes}, |E|={self.num_edges})"
+
+
+def _check_cost(u: int, v: int, cost: float) -> None:
+    """Reject any edge cost outside ``(0, inf)``: the search kernels
+    assume strictly positive, finite costs (NaN fails both tests)."""
+    if not 0.0 < cost < math.inf:
+        raise GraphError(f"edge ({u}, {v}) has non-positive or non-finite cost {cost}")

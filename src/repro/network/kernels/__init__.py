@@ -3,18 +3,18 @@
 This package is the algorithmic substrate of the search layer: the
 engine owns caching, per-phase stats and snapshot invalidation, and
 delegates every primitive search to a :class:`SearchKernel` backend.
-``python`` is the reference heapq implementation; ``vectorized`` is the
-numpy CSR frontier-relaxation backend for full-scale cities.  Both obey
-the relaxation-order contract documented in :mod:`.base` — results are
-bit-identical, so backends are interchangeable mid-run without
-invalidating engine caches.
+``python`` is the reference heapq implementation; ``vectorized`` runs
+the dense primitives on scipy's compiled csgraph Dijkstra over the
+CSR's numpy views.  Both obey the relaxation-order contract documented
+in :mod:`.base` — results are bit-identical, so backends are
+interchangeable mid-run without invalidating engine caches.
 
 Architecture note: nothing outside ``network/engine.py`` may import
-from this package (reprolint rule RL009, the RL001 story one layer
-down).  Callers pick a backend by *name* — via ``EBRRConfig.kernel``,
-``--kernel``, or the ``REPRO_KERNEL`` environment variable — and the
-engine re-exports :func:`available_kernels` / :func:`resolve_kernel`
-for anything that needs to validate a name.
+from this package (reprolint rule RL009).  Callers pick a backend by
+*name* — via ``EBRRConfig.kernel``, ``--kernel``, or the
+``REPRO_KERNEL`` environment variable — and the engine re-exports
+:func:`available_kernels` / :func:`resolve_kernel` for anything that
+needs to validate a name.
 """
 
 from __future__ import annotations

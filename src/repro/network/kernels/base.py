@@ -34,8 +34,8 @@ with strictly positive edge costs:
   implementation steps, and the node sets are fixed by the contract.
   ``pushes`` is the one backend-defined counter: it measures frontier
   insertions under the backend's own relaxation schedule (heap pushes
-  for the heapq backend, scatter-min improvements for the vectorized
-  one) and is documented as a work measure, not an invariant.
+  for the heapq backend, reached-node counts for the vectorized one)
+  and is documented as a work measure, not an invariant.
 
 The inverted-preprocessing primitives
 -------------------------------------

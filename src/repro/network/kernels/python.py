@@ -1,14 +1,12 @@
 """The reference backend: pure-Python ``heapq`` Dijkstra loops.
 
-These are the loops that previously lived inline in
-:class:`~repro.network.engine.SearchEngine` (and before that as the
-free functions of :mod:`repro.network.dijkstra`), moved here verbatim.
-They iterate the CSR snapshot's *list* views positionally — plain list
-indexing is the fastest per-element access CPython offers, and it keeps
-every distance a native ``float`` (indexing the numpy views instead
-would box ``np.float64`` scalars into the heap and the results, ~3-5x
-slower and type-leaky).  Both backends read the same single
-:class:`~repro.network.csr.CSRAdjacency` build; see its docstring.
+The loops iterate the CSR snapshot's *list* views positionally —
+plain list indexing is the fastest per-element access CPython offers,
+and it keeps every distance a native ``float`` (indexing the numpy
+views instead would box ``np.float64`` scalars into the heap and the
+results, ~3-5x slower and type-leaky).  Both backends read the same
+single :class:`~repro.network.csr.CSRAdjacency` build; see its
+docstring.
 
 This backend *defines* the relaxation-order contract of
 :class:`~repro.network.kernels.base.SearchKernel`: the vectorized

@@ -46,33 +46,6 @@ class TestPlan:
         with pytest.raises(ConfigurationError):
             ETAPre(num_candidates=0)
 
-    def test_invalid_strategy(self):
-        with pytest.raises(ConfigurationError):
-            ETAPre(candidate_strategy="magic")
-
-    def test_ksp_strategy_produces_route(self, instance, config):
-        plan = ETAPre(
-            candidate_strategy="ksp", num_candidates=6, seed=2
-        ).plan(instance, config)
-        assert 2 <= plan.route.num_stops <= config.max_stops
-        plan.route.validate_on(instance.network)
-
-    def test_ksp_strategy_deterministic(self, instance, config):
-        a = ETAPre(candidate_strategy="ksp", num_candidates=4, seed=3).plan(
-            instance, config
-        )
-        b = ETAPre(candidate_strategy="ksp", num_candidates=4, seed=3).plan(
-            instance, config
-        )
-        assert a.route.stops == b.route.stops
-
-    def test_strategies_may_differ_but_both_valid(self, instance, config):
-        grow = ETAPre(candidate_strategy="grow", num_candidates=4, seed=4)
-        ksp = ETAPre(candidate_strategy="ksp", num_candidates=4, seed=4)
-        for planner in (grow, ksp):
-            plan = planner.plan(instance, config)
-            assert plan.metrics.walk_cost > 0
-
     def test_may_violate_c(self, instance, config):
         """The paper: baseline routes 'could violate the constraint of
         C because their problems do not require it' — so the route is

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.vk_tsp import VkTSP, _TrajectoryIndex
 from repro.baselines.trajectories import synthesize_trajectories
 from repro.core.config import EBRRConfig
+from repro.network.engine import engine_for
 
 
 @pytest.fixture
@@ -54,8 +55,6 @@ class TestPlan:
         trajectory distance beats the average random *contiguous* path
         of the same node count (apples to apples — a scattered random
         node set is not a bus route)."""
-        from repro.network.dijkstra import shortest_path
-
         planner = VkTSP(seed=5)
         plan = planner.plan(instance, config)
         index = planner._preprocess(instance)
@@ -67,7 +66,7 @@ class TestPlan:
             a, b = rng.integers(0, instance.network.num_nodes, size=2)
             if a == b:
                 continue
-            path, _cost = shortest_path(instance.network, int(a), int(b))
+            path, _cost = engine_for(instance.network).path(int(a), int(b))
             random_dists.append(
                 _summed_distance(index, path[: len(plan.route.path)])
             )

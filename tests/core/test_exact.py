@@ -75,10 +75,10 @@ class TestConstraintsAndValidation:
         assert tight <= loose + 1e-9
         # {v3, v4} is 4 apart -> allowed; {v3, v5} is 8 apart -> not.
         if len(tight_set) == 2:
-            from repro.network.dijkstra import distance_between
+            from repro.network.engine import engine_for
 
             a, b = tight_set
-            assert distance_between(toy_instance.network, a, b) <= 4.0 + 1e-9
+            assert engine_for(toy_instance.network).distance(a, b) <= 4.0 + 1e-9
 
     def test_invalid_k(self, toy_instance):
         with pytest.raises(ConfigurationError):

@@ -119,11 +119,11 @@ class TestLowerBoundPrice:
     def test_is_lower_bound_of_true_price(self, toy_network):
         """lbp(v) <= p(v, B) for every node and growing B (the property
         Claim 2 needs)."""
-        from repro.network.dijkstra import IncrementalNearestDistance
+        from repro.network.engine import engine_for
 
         c = 4.0
         lbp = LowerBoundPrice(TOY_COORDS, max_adjacent_cost=c)
-        nearest = IncrementalNearestDistance(toy_network)
+        nearest = engine_for(toy_network).incremental_nearest()
         for source in (V1, V3):
             lbp.add_selected(source)
             nearest.add_source(source)

@@ -12,10 +12,10 @@ from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 class TestPaperExamples:
     def test_example2_walking_cost_of_single_query(self, toy_instance):
         """Example 2: f(q, S_existing) = dist(v6,v2) + dist(v1,v1) = 7."""
-        from repro.network.dijkstra import multi_source_costs
+        from repro.network.engine import engine_for
 
-        dist = multi_source_costs(
-            toy_instance.network, toy_instance.existing_stops
+        dist = engine_for(toy_instance.network).multi_source(
+            toy_instance.existing_stops
         )
         assert dist[V6] + dist[V1] == pytest.approx(7.0)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.demand.generators import commute_demand, hotspot_demand, uniform_demand
 from repro.exceptions import DemandError
-from repro.network.dijkstra import multi_source_costs
+from repro.network.engine import engine_for
 from repro.transit.builder import build_transit_network
 
 
@@ -54,7 +54,7 @@ class TestHotspot:
             transit=transit, uncovered_fraction=0.0,
             background_fraction=0.0, seed=5,
         )
-        dist = multi_source_costs(grid_network, transit.existing_stops)
+        dist = engine_for(grid_network).multi_source(transit.existing_stops)
         mean_far = sum(dist[v] for v in far) / len(far)
         mean_near = sum(dist[v] for v in near) / len(near)
         assert mean_far > mean_near

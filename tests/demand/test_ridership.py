@@ -6,7 +6,7 @@ import pytest
 
 from repro.demand.ridership import ridership_demand, uncovered_query_nodes
 from repro.exceptions import DemandError
-from repro.network.dijkstra import multi_source_costs
+from repro.network.engine import engine_for
 from repro.transit.builder import build_transit_network
 
 
@@ -26,7 +26,7 @@ class TestRidershipDemand:
     def test_growth_fraction_extremes(self, grid_transit, grid_network):
         near = ridership_demand(grid_transit, 300, growth_fraction=0.0, seed=2)
         far = ridership_demand(grid_transit, 300, growth_fraction=1.0, seed=2)
-        dist = multi_source_costs(grid_network, grid_transit.existing_stops)
+        dist = engine_for(grid_network).multi_source(grid_transit.existing_stops)
         mean_near = sum(dist[v] for v in near) / len(near)
         mean_far = sum(dist[v] for v in far) / len(far)
         assert mean_far > mean_near
@@ -50,7 +50,7 @@ class TestUncoveredQueryNodes:
         qs = ridership_demand(grid_transit, 200, seed=4)
         limit = 1.0
         uncovered = uncovered_query_nodes(qs, grid_transit, walk_limit_km=limit)
-        dist = multi_source_costs(grid_network, grid_transit.existing_stops)
+        dist = engine_for(grid_network).multi_source(grid_transit.existing_stops)
         expected = [v for v in qs.nodes if dist[v] > limit + 1e-9]
         assert sorted(uncovered) == sorted(expected)
 
@@ -68,7 +68,7 @@ class TestUncoveredQueryNodes:
 
     def test_multiset_semantics(self, grid_transit, grid_network):
         # A node appearing twice appears twice in the uncovered list.
-        dist = multi_source_costs(grid_network, grid_transit.existing_stops)
+        dist = engine_for(grid_network).multi_source(grid_transit.existing_stops)
         far_node = max(grid_network.nodes(), key=lambda v: dist[v])
         from repro.demand.query import QuerySet
 

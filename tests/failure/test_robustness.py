@@ -184,6 +184,63 @@ class TestDisconnectedInputs:
             plan_route(instance, config)
 
 
+class TestNonFiniteInputs:
+    """NaN and inf costs or coordinates are rejected at construction:
+    the connectivity check ignores costs, so such a network would
+    otherwise build and leave nodes unreachable for every kernel."""
+
+    PATH_COORDS = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_constructor_rejects_non_finite_cost(self, cost):
+        with pytest.raises(GraphError, match=r"edge \(0, 1\)"):
+            RoadNetwork(self.PATH_COORDS, [(0, 1, cost), (1, 2, 1.0)])
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_mutators_reject_non_finite_cost(self, cost):
+        network = RoadNetwork(self.PATH_COORDS, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(GraphError, match="non-finite"):
+            network.add_edge(0, 2, cost)
+        with pytest.raises(GraphError, match="non-finite"):
+            network.set_edge_cost(0, 1, cost)
+        assert network.version == 0
+        assert network.edge_cost(0, 1) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructor_rejects_non_finite_coordinate(self, bad):
+        coords = [(0.0, 0.0), (bad, 0.0), (2.0, 0.0)]
+        with pytest.raises(GraphError, match="node 1"):
+            RoadNetwork(coords, [(0, 1, 1.0), (1, 2, 1.0)])
+
+    @staticmethod
+    def _dimacs(tmp_path, arc_cost="5", vertex="v 2 1000 0"):
+        gr = tmp_path / "t.gr"
+        co = tmp_path / "t.co"
+        gr.write_text(f"p sp 3 2\na 1 2 {arc_cost}\na 2 3 5\n")
+        co.write_text(f"p aux sp co 3\nv 1 0 0\n{vertex}\nv 3 2000 0\n")
+        return gr, co
+
+    @pytest.mark.parametrize("arc_cost", ["nan", "inf", "0", "-5"])
+    def test_dimacs_bad_arc_cost_names_path_and_line(self, tmp_path, arc_cost):
+        from repro.exceptions import DataFormatError
+        from repro.network.dimacs import read_dimacs
+
+        gr, co = self._dimacs(tmp_path, arc_cost=arc_cost)
+        with pytest.raises(DataFormatError, match=r"t\.gr:2: arc cost"):
+            read_dimacs(gr, co)
+
+    @pytest.mark.parametrize("vertex", ["v 2 nan 0", "v 2 1000 inf"])
+    def test_dimacs_non_finite_coordinate_names_path_and_line(
+        self, tmp_path, vertex
+    ):
+        from repro.exceptions import DataFormatError
+        from repro.network.dimacs import read_dimacs
+
+        gr, co = self._dimacs(tmp_path, vertex=vertex)
+        with pytest.raises(DataFormatError, match=r"t\.co:3: non-finite"):
+            read_dimacs(gr, co)
+
+
 class TestCorruptFiles:
     def test_truncated_dimacs(self, tmp_path):
         from repro.exceptions import DataFormatError

@@ -1,5 +1,5 @@
-"""Analyzer-level behaviour: repo cleanliness, suppressions, config,
-and the violation the linter was built to catch (RL001 in astar.py)."""
+"""Analyzer-level behaviour: repo cleanliness, suppressions, and
+config."""
 
 import os
 import textwrap
@@ -32,22 +32,6 @@ def test_repo_source_tree_is_clean():
     config = load_config(REPO_ROOT)
     violations = check_paths([SRC], config=config)
     assert violations == [], "\n".join(v.format() for v in violations)
-
-
-def test_astar_regression_would_be_caught():
-    """Re-introducing the pre-PR dijkstra import in astar.py must fail
-    the lint gate with RL001 (the acceptance criterion's revert check)."""
-    astar = os.path.join(SRC, "repro", "network", "astar.py")
-    with open(astar, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    assert "from .dijkstra import" not in source
-    regressed = source.replace(
-        "from .engine import engine_for",
-        "from .dijkstra import shortest_path_costs\nfrom .engine import engine_for",
-    )
-    config = load_config(REPO_ROOT)
-    violations = check_source(regressed, path=astar, config=config)
-    assert [v.rule_id for v in violations] == ["RL001"]
 
 
 # ----------------------------------------------------------------------
@@ -125,16 +109,16 @@ def test_config_disable_turns_a_rule_off():
 
 def test_config_rule_excludes_are_path_scoped():
     config = config_from_table(
-        {"rule-excludes": {"RL001": ["src/repro/network/engine.py"]}}
+        {"rule-excludes": {"RL009": ["src/repro/network/engine.py"]}}
     )
-    bad = "from repro.network.dijkstra import shortest_path_costs\n"
+    bad = "from repro.network.kernels import PythonKernel\n"
     assert (
         check_source(bad, path="src/repro/network/engine.py", config=config) == []
     )
     assert [
         v.rule_id
         for v in check_source(bad, path="src/repro/core/ebrr.py", config=config)
-    ] == ["RL001"]
+    ] == ["RL009"]
 
 
 def test_config_global_exclude_skips_files():
@@ -150,7 +134,6 @@ def test_select_restricts_rules():
 
 def test_registry_is_complete():
     assert sorted(all_rules()) == [
-        "RL001",
         "RL002",
         "RL003",
         "RL004",

@@ -140,7 +140,7 @@ def test_select_and_config_do_not_touch_the_cache(tmp_path):
     pkg = make_tree(tmp_path)
     cache_path = str(tmp_path / "cache.json")
     run_lint([str(pkg)], cache_path=cache_path)
-    narrowed = run_lint([str(pkg)], cache_path=cache_path, select=["RL001"])
+    narrowed = run_lint([str(pkg)], cache_path=cache_path, select=["RL002"])
     assert narrowed.cache_stats.hits == 2
     assert narrowed.violations == []
 

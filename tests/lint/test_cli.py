@@ -48,11 +48,11 @@ def test_lint_main_clean_repo_in_process(capsys):
 
 def test_lint_main_reports_violations(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("from repro.network.dijkstra import shortest_path\n")
+    bad.write_text("from repro.network.kernels import PythonKernel\n")
     code = lint_main([str(bad), "--no-config"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "RL001" in out
+    assert "RL009" in out
 
 
 def test_lint_main_json_format(tmp_path, capsys):
@@ -88,21 +88,21 @@ def test_repro_cli_lint_subcommand(tmp_path, capsys):
     good.write_text("from repro.network.engine import engine_for\n")
     assert repro_main(["lint", str(good), "--no-config"]) == 0
     bad = tmp_path / "bad.py"
-    bad.write_text("import repro.network.dijkstra\n")
+    bad.write_text("import repro.network.kernels\n")
     assert repro_main(["lint", str(bad), "--no-config"]) == 1
     out = capsys.readouterr().out
-    assert "RL001" in out
+    assert "RL009" in out
 
 
 def test_repro_cli_lint_list_rules(capsys):
     assert repro_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]:
+    for rule_id in ["RL002", "RL003", "RL004", "RL005", "RL006", "RL007"]:
         assert rule_id in out
 
 
 def test_render_unknown_format_raises():
-    violation = Violation("f.py", 1, 0, "RL001", "msg")
+    violation = Violation("f.py", 1, 0, "RL004", "msg")
     with pytest.raises(KeyError):
         render([violation], "xml")
 
@@ -223,4 +223,4 @@ def test_list_rules_labels_scopes(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "RL010" in out and "[cross-module]" in out
-    assert "RL001" in out and "[per-file]" in out
+    assert "RL002" in out and "[per-file]" in out

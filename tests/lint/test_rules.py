@@ -17,40 +17,6 @@ def rule_ids(snippet, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# RL001 — engine bypass
-# ----------------------------------------------------------------------
-
-RL001_POSITIVES = [
-    "from repro.network.dijkstra import shortest_path_costs\n",
-    "from .dijkstra import shortest_path_costs\n",
-    "from ..network.dijkstra import multi_source_costs\n",
-    "import repro.network.dijkstra\n",
-    "import repro.network.dijkstra as legacy\n",
-    "from repro.network import shortest_path_costs\n",
-    "from .network import IncrementalNearestDistance\n",
-]
-
-
-@pytest.mark.parametrize("snippet", RL001_POSITIVES)
-def test_rl001_fires(snippet):
-    assert rule_ids(snippet) == ["RL001"]
-
-
-def test_rl001_silent_on_engine_usage():
-    snippet = """
-        from repro.network.engine import engine_for
-
-        def plan(network, source):
-            return engine_for(network).sssp(source, phase="plan")
-    """
-    assert rule_ids(snippet) == []
-
-
-def test_rl001_silent_on_unrelated_network_import():
-    assert rule_ids("from repro.network import RoadNetwork, engine_for\n") == []
-
-
-# ----------------------------------------------------------------------
 # RL002 — cache-invalidation hazard
 # ----------------------------------------------------------------------
 
@@ -392,8 +358,8 @@ def test_rl009_silent_on_name_based_selection():
 
 
 def test_rl009_exempts_the_engine_and_the_package():
-    # The exemption lives in pyproject's [tool.reprolint.rule-excludes]
-    # (the RL001 pattern); mirror it here.
+    # The exemption lives in pyproject's [tool.reprolint.rule-excludes];
+    # mirror it here.
     from repro.lint.config import LintConfig
 
     config = LintConfig(

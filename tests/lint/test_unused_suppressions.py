@@ -70,7 +70,7 @@ def test_rule_exclude_path_makes_the_pragma_unjudgeable():
 
 def test_select_narrowing_skips_unused_detection_for_other_rules():
     violations = lint(
-        "x = 1  # reprolint: disable=RL004\n", select=["RL001"]
+        "x = 1  # reprolint: disable=RL004\n", select=["RL002"]
     )
     assert violations == []
 

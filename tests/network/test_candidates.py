@@ -7,6 +7,7 @@ from repro.network.candidates import (
     insert_edge_midpoints,
     node_candidates,
 )
+from repro.network.engine import engine_for
 
 
 class TestEdgeMidpoints:
@@ -19,10 +20,9 @@ class TestEdgeMidpoints:
     def test_costs_halved(self, toy_network):
         new_network, midpoints = insert_edge_midpoints(toy_network)
         # Original adjacency replaced by two half-edges via the midpoint.
-        from repro.network.dijkstra import distance_between
-
+        engine = engine_for(new_network)
         for u, v, cost in toy_network.edges():
-            assert distance_between(new_network, u, v) == pytest.approx(cost)
+            assert engine.distance(u, v) == pytest.approx(cost)
 
     def test_original_ids_preserved(self, toy_network):
         new_network, _ = insert_edge_midpoints(toy_network)
@@ -42,11 +42,9 @@ class TestEdgeMidpoints:
         assert len(midpoints) == toy_network.num_edges - 2
 
     def test_shortest_distances_unchanged(self, toy_network):
-        from repro.network.dijkstra import shortest_path_costs
-
         new_network, _ = insert_edge_midpoints(toy_network)
-        original = shortest_path_costs(toy_network, 0)
-        subdivided = shortest_path_costs(new_network, 0)
+        original = engine_for(toy_network).sssp(0)
+        subdivided = engine_for(new_network).sssp(0)
         for v in toy_network.nodes():
             assert subdivided[v] == pytest.approx(original[v])
 

@@ -1,27 +1,19 @@
-"""Unit tests for the Dijkstra search family, including the paper's
-worked distances on the Figure 2 network."""
+"""Unit tests for the Dijkstra search family of :class:`SearchEngine`,
+including the paper's worked distances on the Figure 2 network."""
 
 import math
 
 import pytest
 
 from repro.exceptions import GraphError
-from repro.network.dijkstra import (
-    IncrementalNearestDistance,
-    distance_between,
-    multi_source_costs,
-    query_preprocessing_search,
-    search_to_nearest,
-    shortest_path,
-    shortest_path_costs,
-)
+from repro.network.engine import engine_for
 
 from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 
 
 class TestShortestPathCosts:
     def test_paper_distances(self, toy_network):
-        dist = shortest_path_costs(toy_network, V6)
+        dist = engine_for(toy_network).sssp(V6)
         # Example 2 / 3 / 7 worked values
         assert dist[V3] == pytest.approx(3.0)
         assert dist[V2] == pytest.approx(7.0)
@@ -30,34 +22,35 @@ class TestShortestPathCosts:
         assert dist[V1] == pytest.approx(11.0)
 
     def test_source_distance_zero(self, toy_network):
-        assert shortest_path_costs(toy_network, V1)[V1] == 0.0
+        assert engine_for(toy_network).sssp(V1)[V1] == 0.0
 
     def test_max_cost_truncation(self, toy_network):
-        dist = shortest_path_costs(toy_network, V1, max_cost=8.0)
+        dist = engine_for(toy_network).sssp(V1, max_cost=8.0)
         assert dist[V3] == pytest.approx(8.0)
         assert math.isinf(dist[V4])
         assert math.isinf(dist[V5])
 
     def test_line_network_costs(self, line_network):
-        dist = shortest_path_costs(line_network, 0)
+        dist = engine_for(line_network).sssp(0)
         assert dist == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 class TestShortestPath:
     def test_path_and_cost(self, toy_network):
-        path, cost = shortest_path(toy_network, V1, V4)
+        path, cost = engine_for(toy_network).path(V1, V4)
         assert path == [V1, V2, V3, V4]
         assert cost == pytest.approx(12.0)
 
     def test_trivial_path(self, toy_network):
-        path, cost = shortest_path(toy_network, V3, V3)
+        path, cost = engine_for(toy_network).path(V3, V3)
         assert path == [V3]
         assert cost == 0.0
 
     def test_path_cost_matches_costs_array(self, grid_network):
-        costs = shortest_path_costs(grid_network, 0)
+        engine = engine_for(grid_network)
+        costs = engine.sssp(0)
         for target in (7, 23, 35):
-            path, cost = shortest_path(grid_network, 0, target)
+            path, cost = engine.path(0, target)
             assert cost == pytest.approx(costs[target])
             assert grid_network.path_cost(path) == pytest.approx(cost)
 
@@ -68,43 +61,39 @@ class TestShortestPath:
             [(0, 0), (1, 0), (9, 9)], [(0, 1, 1.0)], validate_connected=False
         )
         with pytest.raises(GraphError, match="unreachable"):
-            shortest_path(network, 0, 2)
+            engine_for(network).path(0, 2)
 
 
 class TestDistanceBetween:
     def test_matches_full_search(self, toy_network):
-        full = shortest_path_costs(toy_network, V8)
+        engine = engine_for(toy_network)
+        full = engine.sssp(V8)
         for target in range(8):
-            assert distance_between(toy_network, V8, target) == pytest.approx(
-                full[target]
-            )
+            assert engine.distance(V8, target) == pytest.approx(full[target])
 
     def test_same_node(self, toy_network):
-        assert distance_between(toy_network, V5, V5) == 0.0
+        assert engine_for(toy_network).distance(V5, V5) == 0.0
 
     def test_upper_bound_cutoff(self, toy_network):
-        assert math.isinf(
-            distance_between(toy_network, V1, V5, upper_bound=10.0)
-        )
-        assert distance_between(toy_network, V1, V5, upper_bound=20.0) == (
-            pytest.approx(16.0)
-        )
+        engine = engine_for(toy_network)
+        assert math.isinf(engine.distance(V1, V5, upper_bound=10.0))
+        assert engine.distance(V1, V5, upper_bound=20.0) == pytest.approx(16.0)
 
 
 class TestSearchToNearest:
     def test_finds_nearest_target(self, toy_network):
-        node, dist = search_to_nearest(toy_network, V6, lambda v: v in (V1, V2))
+        node, dist = engine_for(toy_network).nearest(V6, lambda v: v in (V1, V2))
         assert node == V2
         assert dist == pytest.approx(7.0)
 
     def test_source_is_target(self, toy_network):
-        node, dist = search_to_nearest(toy_network, V2, lambda v: v == V2)
+        node, dist = engine_for(toy_network).nearest(V2, lambda v: v == V2)
         assert node == V2
         assert dist == 0.0
 
     def test_no_target_raises(self, toy_network):
         with pytest.raises(GraphError, match="no target"):
-            search_to_nearest(toy_network, V1, lambda v: False)
+            engine_for(toy_network).nearest(V1, lambda v: False)
 
 
 class TestQueryPreprocessingSearch:
@@ -120,8 +109,8 @@ class TestQueryPreprocessingSearch:
         """Example 7: from v6 the search finds RNN entry (v3, 3), then
         nn(v6) = v2 at distance 7."""
         is_existing, is_candidate = self._masks(toy_network)
-        nn, dist, visited = query_preprocessing_search(
-            toy_network, V6, is_existing, is_candidate
+        nn, dist, visited = engine_for(toy_network).query_search(
+            V6, is_existing, is_candidate
         )
         assert nn == V2
         assert dist == pytest.approx(7.0)
@@ -129,8 +118,8 @@ class TestQueryPreprocessingSearch:
 
     def test_search_from_v7_collects_three_candidates(self, toy_network):
         is_existing, is_candidate = self._masks(toy_network)
-        nn, dist, visited = query_preprocessing_search(
-            toy_network, V7, is_existing, is_candidate
+        nn, dist, visited = engine_for(toy_network).query_search(
+            V7, is_existing, is_candidate
         )
         assert nn == V2
         assert dist == pytest.approx(11.0)
@@ -142,8 +131,8 @@ class TestQueryPreprocessingSearch:
 
     def test_query_on_existing_stop(self, toy_network):
         is_existing, is_candidate = self._masks(toy_network)
-        nn, dist, visited = query_preprocessing_search(
-            toy_network, V1, is_existing, is_candidate
+        nn, dist, visited = engine_for(toy_network).query_search(
+            V1, is_existing, is_candidate
         )
         assert nn == V1
         assert dist == 0.0
@@ -152,42 +141,42 @@ class TestQueryPreprocessingSearch:
     def test_no_existing_stop_raises(self, toy_network):
         is_candidate = [False] * 8
         with pytest.raises(GraphError, match="no existing bus stop"):
-            query_preprocessing_search(
-                toy_network, V1, [False] * 8, is_candidate
-            )
+            engine_for(toy_network).query_search(V1, [False] * 8, is_candidate)
 
 
 class TestMultiSource:
     def test_multi_source_is_min_of_singles(self, toy_network):
+        engine = engine_for(toy_network)
         sources = [V1, V7]
-        combined = multi_source_costs(toy_network, sources)
-        singles = [shortest_path_costs(toy_network, s) for s in sources]
+        combined = engine.multi_source(sources)
+        singles = [engine.sssp(s) for s in sources]
         for v in range(8):
             assert combined[v] == pytest.approx(min(s[v] for s in singles))
 
     def test_max_cost(self, toy_network):
-        dist = multi_source_costs(toy_network, [V1], max_cost=4.0)
+        dist = engine_for(toy_network).multi_source([V1], max_cost=4.0)
         assert dist[V2] == pytest.approx(4.0)
         assert math.isinf(dist[V3])
 
     def test_duplicate_sources(self, toy_network):
-        dist = multi_source_costs(toy_network, [V1, V1, V1])
+        dist = engine_for(toy_network).multi_source([V1, V1, V1])
         assert dist[V1] == 0.0
 
 
 class TestIncrementalNearest:
     def test_matches_multi_source_after_each_add(self, toy_network):
-        incremental = IncrementalNearestDistance(toy_network)
+        engine = engine_for(toy_network)
+        incremental = engine.incremental_nearest()
         added = []
         for source in (V5, V1, V6):
             incremental.add_source(source)
             added.append(source)
-            expected = multi_source_costs(toy_network, added)
+            expected = engine.multi_source(added)
             for v in range(8):
                 assert incremental.distance[v] == pytest.approx(expected[v])
 
     def test_improved_nodes_reported(self, line_network):
-        incremental = IncrementalNearestDistance(line_network)
+        incremental = engine_for(line_network).incremental_nearest()
         first = incremental.add_source(0)
         assert sorted(first) == [0, 1, 2, 3, 4, 5]
         second = incremental.add_source(5)
@@ -195,19 +184,19 @@ class TestIncrementalNearest:
         assert sorted(second) == [3, 4, 5]
 
     def test_duplicate_source_is_noop(self, toy_network):
-        incremental = IncrementalNearestDistance(toy_network)
+        incremental = engine_for(toy_network).incremental_nearest()
         incremental.add_source(V1)
         before = list(incremental.distance)
         assert incremental.add_source(V1) == []
         assert incremental.distance == before
 
     def test_sources_property(self, toy_network):
-        incremental = IncrementalNearestDistance(toy_network)
+        incremental = engine_for(toy_network).incremental_nearest()
         incremental.add_source(V2)
         incremental.add_source(V4)
         assert incremental.sources == [V2, V4]
 
     def test_getitem(self, toy_network):
-        incremental = IncrementalNearestDistance(toy_network)
+        incremental = engine_for(toy_network).incremental_nearest()
         incremental.add_source(V1)
         assert incremental[V2] == pytest.approx(4.0)

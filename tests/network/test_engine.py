@@ -1,20 +1,12 @@
-"""SearchEngine: equivalence with the legacy free functions, caching,
-statistics accounting, and invalidation on graph mutation."""
+"""SearchEngine: agreement with networkx, caching, statistics
+accounting, and invalidation on graph mutation."""
 
 import math
 
+import networkx as nx
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network.dijkstra import (
-    IncrementalNearestDistance,
-    distance_between,
-    multi_source_costs,
-    query_preprocessing_search,
-    search_to_nearest,
-    shortest_path,
-    shortest_path_costs,
-)
 from repro.network.engine import (
     SearchEngine,
     SearchStats,
@@ -34,6 +26,21 @@ def _cities():
     ]
 
 
+def _nx_graph(network):
+    graph = nx.Graph()
+    graph.add_nodes_from(network.nodes())
+    for u, v, cost in network.edges():
+        graph.add_edge(u, v, weight=cost)
+    return graph
+
+
+def _assert_row_matches(row, reference):
+    """``row`` (inf = unreached) against a networkx ``{node: length}``."""
+    assert [v for v, d in enumerate(row) if d != math.inf] == sorted(reference)
+    for v, d in reference.items():
+        assert row[v] == pytest.approx(d)
+
+
 @pytest.fixture
 def network():
     return grid_city(5, 5, seed=7)
@@ -45,89 +52,71 @@ def engine(network):
 
 
 # ----------------------------------------------------------------------
-# Equivalence with the legacy free functions
+# Agreement with networkx on the three city families
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("city_index", [0, 1, 2])
-def test_sssp_equals_legacy(city_index):
+def test_sssp_matches_networkx(city_index):
     network = _cities()[city_index]
     engine = SearchEngine(network)
+    graph = _nx_graph(network)
     for source in (0, network.num_nodes // 2, network.num_nodes - 1):
-        assert engine.sssp(source) == shortest_path_costs(network, source)
-
-
-@pytest.mark.parametrize("city_index", [0, 1, 2])
-def test_bounded_sssp_equals_legacy(city_index):
-    network = _cities()[city_index]
-    engine = SearchEngine(network)
-    source = network.num_nodes // 3
-    for bound in (0.0, 0.5, 2.0, 10.0):
-        assert engine.sssp(source, max_cost=bound) == shortest_path_costs(
-            network, source, max_cost=bound
+        _assert_row_matches(
+            engine.sssp(source), nx.single_source_dijkstra_path_length(graph, source)
         )
 
 
 @pytest.mark.parametrize("city_index", [0, 1, 2])
-def test_multi_source_equals_legacy(city_index):
+def test_bounded_sssp_matches_networkx(city_index):
     network = _cities()[city_index]
     engine = SearchEngine(network)
+    graph = _nx_graph(network)
+    source = network.num_nodes // 3
+    for bound in (0.0, 0.5, 2.0, 10.0):
+        _assert_row_matches(
+            engine.sssp(source, max_cost=bound),
+            nx.single_source_dijkstra_path_length(graph, source, cutoff=bound),
+        )
+
+
+@pytest.mark.parametrize("city_index", [0, 1, 2])
+def test_multi_source_matches_networkx(city_index):
+    network = _cities()[city_index]
+    engine = SearchEngine(network)
+    graph = _nx_graph(network)
     sources = [0, network.num_nodes // 2, network.num_nodes - 1]
-    assert engine.multi_source(sources) == multi_source_costs(network, sources)
-    assert engine.multi_source(sources, max_cost=1.5) == multi_source_costs(
-        network, sources, max_cost=1.5
+    _assert_row_matches(
+        engine.multi_source(sources),
+        nx.multi_source_dijkstra_path_length(graph, set(sources)),
+    )
+    _assert_row_matches(
+        engine.multi_source(sources, max_cost=1.5),
+        nx.multi_source_dijkstra_path_length(graph, set(sources), cutoff=1.5),
     )
 
 
 @pytest.mark.parametrize("city_index", [0, 1, 2])
-def test_path_and_distance_equal_legacy(city_index):
+def test_path_and_distance_match_networkx(city_index):
     network = _cities()[city_index]
     engine = SearchEngine(network)
+    graph = _nx_graph(network)
     pairs = [(0, network.num_nodes - 1), (1, network.num_nodes // 2)]
     for source, target in pairs:
-        legacy_path, legacy_cost = shortest_path(network, source, target)
-        got_path, got_cost = engine.path(source, target)
-        assert list(got_path) == legacy_path
-        assert got_cost == legacy_cost
-        assert engine.distance(source, target) == distance_between(
-            network, source, target
-        )
-
-
-def test_nearest_equals_legacy(network, engine):
-    targets = {3, 11, 17}
-    is_target = lambda v: v in targets  # noqa: E731
-    for source in (0, 7, 20):
-        assert engine.nearest(source, is_target) == search_to_nearest(
-            network, source, is_target
-        )
-
-
-def test_query_search_equals_legacy(network, engine):
-    n = network.num_nodes
-    is_existing = [v % 7 == 0 for v in range(n)]
-    is_candidate = [v % 3 == 1 for v in range(n)]
-    for query in (2, 9, n - 1):
-        assert engine.query_search(query, is_existing, is_candidate) == (
-            query_preprocessing_search(network, query, is_existing, is_candidate)
-        )
-
-
-def test_incremental_nearest_equals_legacy(network, engine):
-    legacy = IncrementalNearestDistance(network)
-    ours = engine.incremental_nearest()
-    for source in (4, 18, 9):
-        legacy.add_source(source)
-        ours.add_source(source)
-        assert ours.distance == legacy.distance
-    assert list(ours.sources) == list(legacy.sources)
+        expected = nx.dijkstra_path_length(graph, source, target)
+        path, cost = engine.path(source, target)
+        assert path[0] == source and path[-1] == target
+        assert network.is_path(path)
+        assert network.path_cost(path) == pytest.approx(cost)
+        assert cost == pytest.approx(expected)
+        assert engine.distance(source, target) == pytest.approx(expected)
 
 
 def test_nodes_within_ball_is_correct(network, engine):
     source = 6
     radius = 1.0
     ball = engine.nodes_within(source, radius)
-    full = shortest_path_costs(network, source)
+    full = engine.sssp(source)
     expected = {v for v in network.nodes() if v != source and full[v] <= radius + 1e-9}
     assert {v for v, _ in ball} == expected
     for v, d in ball:
@@ -258,7 +247,7 @@ def test_mutation_invalidates_cache_and_rebuilds_csr():
     network.add_edge(0, 3, 0.5)
     after = engine.sssp(0)
     assert after[3] == pytest.approx(0.5)
-    assert after == shortest_path_costs(network, 0)
+    assert after == SearchEngine(network).sssp(0)
     assert engine.cache_info().invalidations == 1
 
 
@@ -270,7 +259,7 @@ def test_edge_recost_invalidates():
     assert engine.distance(0, 2) == pytest.approx(2.0)
     network.set_edge_cost(1, 2, 5.0)
     assert engine.distance(0, 2) == pytest.approx(6.0)
-    assert engine.distance(0, 2) == distance_between(network, 0, 2)
+    assert engine.distance(0, 2) == SearchEngine(network).distance(0, 2)
 
 
 def test_engine_for_is_shared_per_network(network):

@@ -7,13 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.dijkstra import (
-    IncrementalNearestDistance,
-    distance_between,
-    multi_source_costs,
-    shortest_path,
-    shortest_path_costs,
-)
+from repro.network.engine import engine_for
 from repro.network.graph import RoadNetwork
 
 
@@ -42,7 +36,7 @@ def connected_networks(draw):
     return RoadNetwork(coords, edges)
 
 
-def _to_networkx(network):
+def _nx_graph(network):
     graph = nx.Graph()
     graph.add_nodes_from(network.nodes())
     for u, v, cost in network.edges():
@@ -54,9 +48,9 @@ def _to_networkx(network):
 @given(network=connected_networks(), source_seed=st.integers(0, 10 ** 6))
 def test_costs_match_networkx(network, source_seed):
     source = source_seed % network.num_nodes
-    ours = shortest_path_costs(network, source)
+    ours = engine_for(network).sssp(source)
     reference = nx.single_source_dijkstra_path_length(
-        _to_networkx(network), source
+        _nx_graph(network), source
     )
     for v in network.nodes():
         assert ours[v] == pytest.approx(reference[v])
@@ -67,12 +61,12 @@ def test_costs_match_networkx(network, source_seed):
 def test_shortest_path_is_valid_and_optimal(network, seed):
     source = seed % network.num_nodes
     target = (seed // 7) % network.num_nodes
-    path, cost = shortest_path(network, source, target)
+    path, cost = engine_for(network).path(source, target)
     assert path[0] == source and path[-1] == target
     assert network.is_path(path)
     assert network.path_cost(path) == pytest.approx(cost)
     assert cost == pytest.approx(
-        nx.dijkstra_path_length(_to_networkx(network), source, target)
+        nx.dijkstra_path_length(_nx_graph(network), source, target)
     )
 
 
@@ -81,9 +75,10 @@ def test_shortest_path_is_valid_and_optimal(network, seed):
 def test_triangle_inequality(network, seed):
     n = network.num_nodes
     a, b, c = seed % n, (seed // 3) % n, (seed // 11) % n
-    d_ab = distance_between(network, a, b)
-    d_bc = distance_between(network, b, c)
-    d_ac = distance_between(network, a, c)
+    engine = engine_for(network)
+    d_ab = engine.distance(a, b)
+    d_bc = engine.distance(b, c)
+    d_ac = engine.distance(a, c)
     assert d_ac <= d_ab + d_bc + 1e-9
 
 
@@ -92,10 +87,11 @@ def test_triangle_inequality(network, seed):
 def test_incremental_equals_multi_source(network, seed):
     n = network.num_nodes
     sources = sorted({seed % n, (seed // 5) % n, (seed // 23) % n})
-    incremental = IncrementalNearestDistance(network)
+    engine = engine_for(network)
+    incremental = engine.incremental_nearest()
     for s in sources:
         incremental.add_source(s)
-    expected = multi_source_costs(network, sources)
+    expected = engine.multi_source(sources)
     for v in network.nodes():
         assert incremental.distance[v] == pytest.approx(expected[v])
 
@@ -104,7 +100,7 @@ def test_incremental_equals_multi_source(network, seed):
 @given(network=connected_networks(), seed=st.integers(0, 10 ** 6))
 def test_adding_sources_never_increases_distance(network, seed):
     n = network.num_nodes
-    incremental = IncrementalNearestDistance(network)
+    incremental = engine_for(network).incremental_nearest()
     previous = [math.inf] * n
     for k in range(3):
         incremental.add_source((seed // (k + 1)) % n)
@@ -123,8 +119,9 @@ def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost
     """The cost-bounded search must return exactly the unbounded
     distances for nodes within the bound and inf beyond it."""
     source = seed % network.num_nodes
-    full = shortest_path_costs(network, source)
-    bounded = shortest_path_costs(network, source, max_cost=max_cost)
+    engine = engine_for(network)
+    full = engine.sssp(source)
+    bounded = engine.sssp(source, max_cost=max_cost)
     for v in network.nodes():
         if full[v] <= max_cost + 1e-9:
             assert bounded[v] == full[v]
@@ -141,8 +138,9 @@ def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost
 def test_bounded_multi_source_agrees_with_unbounded(network, seed, max_cost):
     n = network.num_nodes
     sources = sorted({seed % n, (seed // 5) % n, (seed // 23) % n})
-    full = multi_source_costs(network, sources)
-    bounded = multi_source_costs(network, sources, max_cost=max_cost)
+    engine = engine_for(network)
+    full = engine.multi_source(sources)
+    bounded = engine.multi_source(sources, max_cost=max_cost)
     for v in network.nodes():
         if full[v] <= max_cost + 1e-9:
             assert bounded[v] == full[v]

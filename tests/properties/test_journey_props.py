@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.dijkstra import shortest_path_costs
+from repro.network.engine import engine_for
 from repro.transit.builder import build_transit_network
 from repro.transit.journey import JourneyPlanner
 from repro.transit.network import TransitNetwork
@@ -31,7 +31,7 @@ def test_bounded_by_walking(planner_setup, seed):
     walk_min_per_km = 60.0 / 5.0
     for _ in range(15):
         origin = int(rng.integers(0, network.num_nodes))
-        costs = shortest_path_costs(network, origin)
+        costs = engine_for(network).sssp(origin)
         dest = int(rng.integers(0, network.num_nodes))
         assert planner.travel_time(origin, dest) <= (
             costs[dest] * walk_min_per_km + 1e-6
@@ -64,14 +64,13 @@ def test_adding_route_never_hurts(planner_setup, seed):
     network, transit = planner_setup
     rng = np.random.default_rng(seed)
     # build a random new route along a shortest path
-    from repro.network.dijkstra import shortest_path
     from repro.transit.builder import place_stops_along_path
 
     a = int(rng.integers(0, network.num_nodes))
     b = int(rng.integers(0, network.num_nodes))
     if a == b:
         b = (b + 1) % network.num_nodes
-    path, _ = shortest_path(network, a, b)
+    path, _ = engine_for(network).path(a, b)
     stops = place_stops_along_path(network, path, 1.0)
     if len(stops) < 2:
         pytest.skip("degenerate random route")

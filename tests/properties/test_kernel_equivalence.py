@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import GraphError
 from repro.network.engine import SearchEngine, available_kernels
 from repro.network.generators import grid_city, radial_city, sprawl_city
-from repro.network.kernels.vectorized import VectorizedKernel  # reprolint: disable=RL009
 
 
 @st.composite
@@ -43,23 +42,12 @@ def cities(draw):
     return sprawl_city(draw(st.integers(20, 80)), extent_km=6.0, seed=seed)
 
 
-def engines(network, use_scipy=None):
-    """A fresh engine pair (reference, vectorized) over one network.
-
-    ``use_scipy`` pins the vectorized execution path: the compiled
-    scipy Dijkstra or the pure-numpy bucketed frontier fallback.  Both
-    must satisfy the same bit-identity contract, so the overridden
-    primitives are tested against each explicitly (``None`` means
-    whatever the environment resolves, as production would)."""
-    if use_scipy is None:
-        vectorized = SearchEngine(network, kernel="vectorized")
-    else:
-        # resolve_kernel passes instances through — the sanctioned
-        # escape hatch for pinning backend internals in tests.
-        vectorized = SearchEngine(
-            network, kernel=VectorizedKernel(use_scipy=use_scipy)
-        )
-    return SearchEngine(network, kernel="python"), vectorized
+def engines(network):
+    """A fresh engine pair (reference, vectorized) over one network."""
+    return (
+        SearchEngine(network, kernel="python"),
+        SearchEngine(network, kernel="vectorized"),
+    )
 
 
 def bound_from(draw_value, network):
@@ -85,11 +73,10 @@ def test_both_backends_registered():
     assert available_kernels() == ["python", "vectorized"]
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=40, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
-def test_sssp_bit_identical(use_scipy, network, seed, b):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_sssp_bit_identical(network, seed, b):
+    ep, ev = engines(network)
     source = seed % network.num_nodes
     max_cost = bound_from(b, network)
     rp = ep.sssp(source, max_cost=max_cost, cached=False)
@@ -99,11 +86,10 @@ def test_sssp_bit_identical(use_scipy, network, seed, b):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
-def test_multi_source_bit_identical(use_scipy, network, seed, b):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_multi_source_bit_identical(network, seed, b):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [seed % n, (seed // 7) % n, (seed // 91) % n]
     max_cost = bound_from(b, network)
@@ -173,11 +159,10 @@ def test_query_search_bit_identical(network, seed, m):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=40, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0.05, 1))
-def test_nodes_within_bit_identical(use_scipy, network, seed, b):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_nodes_within_bit_identical(network, seed, b):
+    ep, ev = engines(network)
     source = seed % network.num_nodes
     max_cost = 0.2 + b * 3.0
     rp = ep.nodes_within(source, max_cost, cached=False)
@@ -207,11 +192,10 @@ def test_incremental_nearest_bit_identical(network, seed, b):
     assert invariant_counters(ep, "inc") == invariant_counters(ev, "inc")
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_multi_source_labels_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_multi_source_labels_bit_identical(network, seed, m):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     fp = ep.multi_source_labels(sources, cached=False)
@@ -222,11 +206,10 @@ def test_multi_source_labels_bit_identical(use_scipy, network, seed, m):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_forward_replay_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_forward_replay_bit_identical(network, seed, m):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     field = ep.multi_source_labels(sources, cached=False)
@@ -239,11 +222,10 @@ def test_forward_replay_bit_identical(use_scipy, network, seed, m):
         assert rp[s] == 0.0
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=25, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_batch_query_rows_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_batch_query_rows_bit_identical(network, seed, m):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     source_set = set(sources)

@@ -78,7 +78,7 @@ def test_prices_match_distance_definition(seed):
     """Every recorded price equals max(1, ceil(dist(v, B)/C)) computed
     from a fresh multi-source Dijkstra at that iteration."""
     from repro.core.price import price_from_distance
-    from repro.network.dijkstra import multi_source_costs
+    from repro.network.engine import engine_for
 
     instance = _random_instance(seed)
     pre = preprocess_queries(instance)
@@ -86,7 +86,7 @@ def test_prices_match_distance_definition(seed):
     trace = run_selection(instance, pre, config)
     selected_so_far = [trace.selected[0]]
     for stop, price in zip(trace.selected[1:], trace.prices):
-        dist = multi_source_costs(instance.network, selected_so_far)
+        dist = engine_for(instance.network).multi_source(selected_so_far)
         assert price == price_from_distance(dist[stop], 1.5)
         selected_so_far.append(stop)
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.network.engine import engine_for
 from repro.transit.journey import JourneyPlanner, travel_cost_decrease
 from repro.transit.network import TransitNetwork
 from repro.transit.route import BusRoute
@@ -59,11 +60,10 @@ class TestTravelTime:
 
     def test_never_worse_than_walking(self, toy_transit):
         planner = JourneyPlanner(toy_transit)
-        from repro.network.dijkstra import shortest_path_costs
-
+        engine = engine_for(toy_transit.road_network)
         walk_min_per_km = 60.0 / 5.0
         for origin in range(8):
-            costs = shortest_path_costs(toy_transit.road_network, origin)
+            costs = engine.sssp(origin)
             for dest in range(8):
                 assert (
                     planner.travel_time(origin, dest)
