@@ -4,11 +4,17 @@ The pluggable search-kernel layer exists for exactly one reason: the
 pure-Python heapq loops stop scaling once a city has tens of thousands
 of road nodes, while the vectorized CSR backend (compiled scipy
 Dijkstra over the shared numpy views) keeps the dense primitives —
-full-row SSSP, multi-source fields, bounded rows — cheap.  This bench
-times the same dense workload under both backends on a ladder of
-synthetic cities (one per generator family, largest last), asserts the
-outputs are bit-identical while it is at it, and **gates a >= 3x
-vectorized speedup on the largest city**.
+full-row SSSP, multi-source fields, bounded rows, and the query-rooted
+balls of Algorithm 2 — cheap.  This bench times the same dense workload
+under both backends on a ladder of synthetic cities (one per generator
+family, largest last), asserts the outputs are bit-identical while it
+is at it, and **gates a >= 3x vectorized speedup on the largest city**.
+
+The ball pass mirrors Algorithm 2's shape: the multi-source seeds act
+as the existing stops, every second node is a query, and every sixth
+non-seed node is a candidate.  Its time is part of the workload and is
+also reported on its own (``balls_*``), since the balls are the
+primitive whose cost grows with both |Q| and the city.
 
 Emits machine-readable ``BENCH_fullscale.json`` for CI next to the
 human table.  The gate is decided from the measurement before the
@@ -57,19 +63,43 @@ def _ladder():
     ]
 
 
-def _dense_workload(engine, network):
+def _seeds(n):
+    return list(range(0, n, max(1, n // NUM_MULTI_SEEDS)))[:NUM_MULTI_SEEDS]
+
+
+def _ball_inputs(network):
+    """Arguments of the ball pass: every second node queries, with its
+    radius and label from the seeds' label field, and every sixth
+    non-seed node is a candidate.  Built once per city, untimed."""
+    n = network.num_nodes
+    seeds = _seeds(n)
+    engine = SearchEngine(network)
+    field = engine.multi_source_labels(seeds, cached=False)
+    queries = list(range(0, n, 2))
+    nn_forward = engine.label_forward_distances(field, queries)
+    labels = [field.label[q] for q in queries]
+    seed_set = set(seeds)
+    is_candidate = [False] * n
+    for u in [u for u in range(n) if u not in seed_set][::6]:
+        is_candidate[u] = True
+    return queries, nn_forward, labels, is_candidate
+
+
+def _dense_workload(engine, network, balls):
     """The dense searches a full-city planning pass leans on: single
-    source rows, one multi-source field, and bounded adjacency rows.
-    Caches are bypassed so the kernels are what is being timed."""
+    source rows, one multi-source field, bounded adjacency rows, and
+    one batched ball pass.  Caches are bypassed so the kernels are what
+    is being timed.  Returns the outputs and the ball pass's seconds."""
     n = network.num_nodes
     rows = []
     for s in range(0, n, max(1, n // NUM_SSSP))[:NUM_SSSP]:
         rows.append(engine.sssp(s, cached=False))
-    seeds = list(range(0, n, max(1, n // NUM_MULTI_SEEDS)))[:NUM_MULTI_SEEDS]
-    rows.append(engine.multi_source(seeds, cached=False))
+    rows.append(engine.multi_source(_seeds(n), cached=False))
     for s in range(0, n, max(1, n // BOUNDED_ROWS))[:BOUNDED_ROWS]:
         rows.append(engine.sssp(s, max_cost=BOUNDED_COST, cached=False))
-    return rows
+    start = obs_now()
+    rows.append(engine.batch_query_rows(*balls))
+    return rows, obs_now() - start
 
 
 def test_fullscale_kernel_speedup(experiment):
@@ -78,13 +108,17 @@ def test_fullscale_kernel_speedup(experiment):
     def run():
         tiers = []
         for family, network in cities:
+            balls = _ball_inputs(network)
             timings = {}
+            ball_timings = {}
             outputs = {}
             for kernel in ("python", "vectorized"):
                 engine = SearchEngine(network, kernel=kernel)
                 engine.sssp(0, cached=False)  # warm the CSR + views
                 start = obs_now()
-                outputs[kernel] = _dense_workload(engine, network)
+                outputs[kernel], ball_timings[kernel] = _dense_workload(
+                    engine, network, balls
+                )
                 timings[kernel] = obs_now() - start
             tiers.append(
                 {
@@ -94,6 +128,10 @@ def test_fullscale_kernel_speedup(experiment):
                     "python_s": timings["python"],
                     "vectorized_s": timings["vectorized"],
                     "speedup": timings["python"] / timings["vectorized"],
+                    "balls_python_s": ball_timings["python"],
+                    "balls_vectorized_s": ball_timings["vectorized"],
+                    "balls_speedup": ball_timings["python"]
+                    / ball_timings["vectorized"],
                     "bit_identical": outputs["python"]
                     == outputs["vectorized"],
                 }
@@ -129,6 +167,7 @@ def test_fullscale_kernel_speedup(experiment):
                 "python_s": t["python_s"],
                 "vectorized_s": t["vectorized_s"],
                 "speedup": t["speedup"],
+                "balls_speedup": t["balls_speedup"],
             }
             for t in tiers
         ],

@@ -80,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "the engine cache summary")
     plan.add_argument("--kernel", choices=available_kernels(), default=None,
                       help="search-kernel backend (default: $REPRO_KERNEL, "
-                           "then 'python'; results are bit-identical — "
-                           "'vectorized' is the fast numpy backend for "
-                           "full-scale cities)")
+                           "then 'vectorized', the compiled scipy backend; "
+                           "results are bit-identical — 'python' is the "
+                           "reference heapq oracle)")
     plan.add_argument("--trace", type=str, default=None, metavar="PATH",
                       help="record a trace of the run and write it in "
                            "Chrome trace-event format (open in "
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also export the rows to this CSV file")
     sweep.add_argument("--kernel", choices=available_kernels(), default=None,
                        help="search-kernel backend for every planner run "
-                            "(rows are bit-identical across backends)")
+                            "(default: $REPRO_KERNEL, then 'vectorized'; "
+                            "rows are bit-identical across backends)")
     sweep.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="record a trace of the sweep and write it in "
                             "Chrome trace-event format")
@@ -160,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--alpha", type=float, default=None,
                        help="utility trade-off (default: calibrated per city)")
     serve.add_argument("--kernel", choices=available_kernels(), default=None,
-                       help="search-kernel backend for every tenant")
+                       help="search-kernel backend for every tenant "
+                            "(default: $REPRO_KERNEL, then 'vectorized')")
     serve.add_argument("--cache-capacity", type=int, default=None,
                        help="bound each tenant engine's LRU row cache "
                             "(daemon memory cap; default: engine default)")

@@ -8,6 +8,7 @@ selection, the lower-bound price, and the final path refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,12 +80,17 @@ class EBRRConfig:
             raise ConfigurationError(
                 f"K (max_stops) must be at least 2, got {self.max_stops}"
             )
-        if self.max_adjacent_cost <= 0:
+        # Written as 0 < x < inf so that NaN fails too; edge costs obey
+        # the same rule (graph.py).
+        if not 0.0 < self.max_adjacent_cost < math.inf:
             raise ConfigurationError(
-                f"C (max_adjacent_cost) must be positive, got {self.max_adjacent_cost}"
+                "C (max_adjacent_cost) must be positive and finite, got "
+                f"{self.max_adjacent_cost}"
             )
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigurationError(
+                f"alpha must be positive and finite, got {self.alpha}"
+            )
         if not (0.0 < self.price_budget_fraction <= 1.0):
             raise ConfigurationError(
                 "price_budget_fraction must be in (0, 1], got "

@@ -18,7 +18,9 @@ indexing would box ``np.float64`` scalars into the heaps and the
 results); the vectorized kernel reads the numpy views (``np_indptr`` /
 ``np_targets`` / ``np_costs``), which are materialised from the lists
 at most once per snapshot and cached on it, so backends share one
-build and one :meth:`is_current` invalidation path.
+build and one :meth:`is_current` invalidation path.  The vectorized
+kernel also reads ``np_coords``, the node coordinates as an array
+(cached the same way), to group query balls by spatial tile.
 
 A snapshot records the network's :attr:`~RoadNetwork.version`;
 :meth:`CSRAdjacency.is_current` tells callers (the engine) when a graph
@@ -55,6 +57,7 @@ class CSRAdjacency:
         "version",
         "_network",
         "_np_views",
+        "_np_coords",
     )
 
     def __init__(self, network: RoadNetwork) -> None:
@@ -76,6 +79,7 @@ class CSRAdjacency:
         self._np_views: Optional[
             Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]
         ] = None
+        self._np_coords: Optional["numpy.ndarray"] = None
 
     @property
     def network(self) -> RoadNetwork:
@@ -111,6 +115,18 @@ class CSRAdjacency:
     def np_costs(self) -> "numpy.ndarray":
         """``costs`` as a float64 array (built once, cached)."""
         return self._numpy_views()[2]
+
+    @property
+    def np_coords(self) -> "numpy.ndarray":
+        """Node coordinates as an ``(n, 2)`` float64 array (built once,
+        cached; coordinates never change with the network version)."""
+        coords = self._np_coords
+        if coords is None:
+            import numpy as np
+
+            coords = np.asarray(self._network.coordinates(), dtype=np.float64)
+            self._np_coords = coords
+        return coords
 
     @property
     def num_directed_edges(self) -> int:

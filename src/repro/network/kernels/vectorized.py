@@ -1,4 +1,4 @@
-"""Vectorized CSR backend for full-scale cities.
+"""Vectorized CSR backend, the default ``--kernel``.
 
 ``VectorizedKernel`` replaces the per-node heap loop of the dense
 primitives (``sssp`` — single-source, multi-source and bounded — the
@@ -9,6 +9,12 @@ compiled Dijkstra of ``scipy.sparse.csgraph`` — ``min_only=True``
 makes multi-source a single sweep, and ``limit`` early-terminates
 bounded searches with the same inclusive ``d <= bound`` semantics as
 the reference backend.
+
+The query-rooted balls of Algorithm 2 are **tile-local**: rows are
+grouped by a spatial tile of their query node, and each group runs one
+dense csgraph call on the subgraph induced by the union of its balls,
+so the cost per row follows the size of that union, not ``|V|`` (see
+:meth:`VectorizedKernel.batch_query_rows` for why this is exact).
 
 Why the results are bit-identical to the reference heapq Dijkstra
 (:class:`~repro.network.kernels.python.PythonKernel`):
@@ -179,97 +185,184 @@ class VectorizedKernel(PythonKernel):
         is_candidate_stop: Sequence[bool],
         stats: "SearchStats",
     ) -> Tuple[List[int], List[int], List[float], List[int]]:
-        """Query-rooted balls on the compiled csgraph Dijkstra.
+        """Query-rooted balls as **tile-local** dense csgraph calls.
 
-        scipy's ``limit`` is a single scalar per call, so rows are
-        processed in **radius-sorted chunks**: within a chunk the
-        shared limit is the chunk's max radius, which sorting keeps
-        within a whisker of each row's own.  Per row, the gated reached
-        set equals ``{x : d(q, x) <= radius}`` exactly (any in-bound
-        shortest path's prefixes are in-bound, any out-of-bound node
-        only sees out-of-bound tentative distances), so masking the
-        dense rows at each row's own radius reproduces the reference
-        reach sets and counters bit-for-bit; the distances are the same
-        converged fixed point, already query-rooted (no replay walk).
-        The member stream is then scattered back from sorted-row order
-        to input-row order with one O(members) offset map — no extra
-        sort."""
+        Rows are grouped by the :data:`TILE_SIDE` square tile holding
+        their query node, radius-sorted within a tile.  For each group
+        one bounded ``min_only`` sweep at the group's largest push gate
+        ``R`` takes the union ball ``U`` of its rows — a scheduling
+        step that adds nothing to ``searches``/``settled``/
+        ``truncated`` — and one dense csgraph call then runs from the
+        group's rows on the subgraph induced by ``U``, so a row costs
+        ``O(|U|)`` instead of ``O(|V|)``.  A group whose rows × ``|U|``
+        block exceeds :data:`CELL_BUDGET` is split in two by radius and
+        retried.
+
+        Why this is exact: every in-bound shortest path from ``q`` has
+        in-bound prefixes (costs are positive, and float addition of a
+        positive cost never decreases a sum), so ``ball(q)`` *and* the
+        shortest paths into it lie inside ``U``.  Distances on the
+        induced subgraph are minima over fewer paths, so they are never
+        below the full-graph distances, and they are equal — the same
+        doubles, from the same left-folded path sums — on ``ball(q)``.
+        Per row, the reached set ``{x : d(q, x) <= gate}``, the members
+        cut at ``(d, node) < (nn_forward, label)`` on global ids, their
+        ``(d, node)`` order and the counters therefore match the
+        reference backend bit for bit.  The member streams are
+        scattered back to input-row order with offset arithmetic, with
+        no per-row python loop."""
         rows = np.asarray(list(query_nodes), dtype=np.int64)
         m = int(rows.size)
         if not m:
             return [], [], [], []
-        n = csr.num_nodes
         nnf = np.asarray(list(nn_forward), dtype=np.float64)
-        radius = nnf * (1.0 + BALL_SLACK)
+        # The reference push gate, clamped to the largest double so that
+        # ``d <= gate`` never admits an unreachable (inf) entry.
+        gate = np.minimum(nnf * (1.0 + BALL_SLACK), _MAX_DOUBLE)
         lab = np.asarray(list(labels), dtype=np.int64)
-        cand_mask = np.asarray(list(is_candidate_stop), dtype=bool)
+        cand = np.asarray(list(is_candidate_stop), dtype=bool)
         graph = _as_scipy_graph(csr)
-        order = np.argsort(radius, kind="stable")
-        counts_sorted = np.empty(m, dtype=np.int64)
-        settled_sorted = np.empty(m, dtype=np.int64)
+        # Global -> union-ball node id; reset to -1 after every group.
+        local = np.full(csr.num_nodes, -1, dtype=np.int64)
+        row_parts: List[np.ndarray] = []
+        count_parts: List[np.ndarray] = []
+        reach_parts: List[np.ndarray] = []
         node_parts: List[np.ndarray] = []
         dist_parts: List[np.ndarray] = []
-        node_col = np.arange(n, dtype=np.int64)[None, :]
-        # Dense (chunk x n) rows, capped near 32 MB per chunk.
-        chunk = int(max(1, min(512, (32 << 20) // max(8 * n, 1), m)))
-        for start in range(0, m, chunk):
-            sel = order[start : start + chunk]
+        pending = _tile_groups(csr.np_coords[rows], gate)
+        while pending:
+            sel = pending.pop()
             g = int(sel.size)
-            r = radius[sel]
-            d = _scipy_dijkstra(
+            limit = float(gate[sel[-1]])  # radius-sorted: the group max
+            sweep = _scipy_dijkstra(
                 graph,
                 directed=True,
-                indices=rows[sel],
+                indices=np.unique(rows[sel]),
+                min_only=True,
+                limit=limit,
+            )
+            union = np.flatnonzero(np.isfinite(sweep))
+            u = int(union.size)
+            if g > 1 and g * u > CELL_BUDGET:
+                pending += [sel[g // 2 :], sel[: g // 2]]
+                continue
+            local[union] = np.arange(u, dtype=np.int64)
+            d = _scipy_dijkstra(
+                _induced_subgraph(csr, union, local),
+                directed=True,
+                indices=local[rows[sel]],
                 min_only=False,
-                limit=float(r[g - 1]),
+                limit=limit,
             )
-            reach = (d <= r[:, None]) & np.isfinite(d)
-            reach_counts = np.count_nonzero(reach, axis=1)
-            settled_sorted[start : start + g] = reach_counts
-            # The exact settle-order cutoff, vectorized:
-            # (d, node) < (nn_forward[row], labels[row]) lexicographic.
-            member = cand_mask[None, :] & (
-                (d < nnf[sel][:, None])
-                | ((d == nnf[sel][:, None]) & (node_col < lab[sel][:, None]))
-            )
-            li, node = np.nonzero(member)
-            dm = d[li, node]
-            o = np.lexsort((node, dm, li))
-            counts_sorted[start : start + g] = np.bincount(li, minlength=g)
-            node_parts.append(node[o])
+            local[union] = -1
+            reach = np.count_nonzero(d <= gate[sel][:, None], axis=1)
+            # The settle-order cutoff (d, node) < (nn_forward, label):
+            # candidates with d <= nn_forward, then the ties at exactly
+            # nn_forward dropped unless their global id is smaller.
+            li, col = np.nonzero((d <= nnf[sel][:, None]) & cand[union][None, :])
+            dm = d[li, col]
+            keep = (dm < nnf[sel][li]) | (union[col] < lab[sel][li])
+            li, col, dm = li[keep], col[keep], dm[keep]
+            # Reference settle order per row: (row, d, node).  Ranking d
+            # makes that one exact int64 key (below (g * u) ** 2, as
+            # len(dm) <= g * u), so a plain argsort replaces a three-key
+            # lexsort.
+            _, rank = np.unique(dm, return_inverse=True)
+            o = np.argsort((li * int(dm.size) + rank) * u + col)
+            row_parts.append(sel)
+            count_parts.append(np.bincount(li, minlength=g))
+            reach_parts.append(reach)
+            node_parts.append(union[col[o]])
             dist_parts.append(dm[o])
             stats.searches += g
             # Reached-node counts: the gated node sets are
             # schedule-independent, so these match the reference
-            # backend and any chunking (pushes is backend-defined; the
+            # backend and any grouping (pushes is backend-defined; the
             # reached count is this backend's work measure).
-            reached = int(reach_counts.sum())
+            reached = int(reach.sum())
             stats.settled += reached
             stats.pushes += reached
+        order = np.concatenate(row_parts)
+        counts_sorted = np.concatenate(count_parts)
         counts = np.empty(m, dtype=np.int64)
         counts[order] = counts_sorted
         settled = np.empty(m, dtype=np.int64)
-        settled[order] = settled_sorted
-        stream_nodes = np.concatenate(node_parts)
-        stream_dists = np.concatenate(dist_parts)
-        # Scatter each sorted-order row's member run to its offset in
-        # the input-order columns (exclusive-cumsum offset arithmetic,
-        # the same trick as _edge_indices).
+        settled[order] = np.concatenate(reach_parts)
+        # Scatter each processed row's member run to its offset in the
+        # input-order columns (exclusive-cumsum offset arithmetic, the
+        # same trick as _edge_indices).
         out_start = np.cumsum(counts) - counts
         excl = np.cumsum(counts_sorted) - counts_sorted
-        positions = np.repeat(out_start[order] - excl, counts_sorted) + np.arange(
-            stream_nodes.size, dtype=np.int64
-        )
-        out_nodes = np.empty_like(stream_nodes)
-        out_nodes[positions] = stream_nodes
-        out_dists = np.empty_like(stream_dists)
-        out_dists[positions] = stream_dists
+        positions = np.repeat(out_start[order] - excl, counts_sorted)
+        positions += np.arange(positions.size, dtype=np.int64)
+        # Members as shared python ints, one object per node id: a
+        # fresh int per member would hold ~32 more bytes each (about
+        # 250 MB for Chicago at paper scale).
+        node_ids = np.arange(csr.num_nodes, dtype=object)
         return (
             counts.tolist(),
-            out_nodes.tolist(),
-            out_dists.tolist(),
+            node_ids[_scattered(node_parts, positions)].tolist(),
+            _scattered(dist_parts, positions).tolist(),
             settled.tolist(),
         )
+
+
+#: Side of the square tiles that group query balls, in coordinate units
+#: (kilometres by convention, like the costs).  It is set against the
+#: rows' radii — each query's nearest-stop distance: the median radius
+#: is 0.6-1.9 km on the synthetic cities, from Chicago to Orlando, and
+#: the radius is 1-Lipschitz in the query position, so rows sharing a
+#: 2 km tile have similar radii and a union ball a few radii wide.
+#: Smaller tiles run more full-graph union sweeps; larger tiles widen
+#: every row's dense block.
+TILE_SIDE = 2.0
+
+#: Most cells (rows × union-ball nodes) one dense csgraph call may
+#: produce: 2**21 float64 cells are 16 MB.
+CELL_BUDGET = 1 << 21
+
+_MAX_DOUBLE = float(np.finfo(np.float64).max)
+
+
+def _tile_groups(xy: np.ndarray, gate: np.ndarray) -> List[np.ndarray]:
+    """Row indices grouped by :data:`TILE_SIDE` tile of their query
+    node's coordinates ``xy``, each group sorted by ``gate``."""
+    cell = np.floor((xy - xy.min(axis=0)) / TILE_SIDE).astype(np.int64)
+    key = cell[:, 0] * (int(cell[:, 1].max()) + 1) + cell[:, 1]
+    order = np.lexsort((gate, key))
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
+def _induced_subgraph(
+    csr: "CSRAdjacency", nodes: np.ndarray, local: np.ndarray
+) -> Any:
+    """The subgraph induced by sorted ``nodes``, as a scipy matrix over
+    local ids ``local[nodes]`` (``-1`` marks every node outside), cut
+    straight from the CSR arrays with each row's arc order kept."""
+    indptr = csr.np_indptr
+    edge_idx = _edge_indices(indptr, nodes)
+    tgt = local[csr.np_targets[edge_idx]]
+    keep = tgt >= 0
+    owner = np.repeat(
+        np.arange(nodes.size, dtype=np.int64), indptr[nodes + 1] - indptr[nodes]
+    )
+    sub_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=nodes.size), out=sub_indptr[1:])
+    return _scipy_csr_matrix(
+        (csr.np_costs[edge_idx[keep]], tgt[keep].astype(np.int32), sub_indptr),
+        shape=(nodes.size, nodes.size),
+        copy=False,
+    )
+
+
+def _scattered(parts: List[np.ndarray], positions: np.ndarray) -> np.ndarray:
+    """Concatenate ``parts`` (emptying the list, so its arrays can be
+    freed) and scatter the stream to ``positions``."""
+    stream = np.concatenate(parts)
+    parts.clear()
+    out = np.empty_like(stream)
+    out[positions] = stream
+    return out
 
 
 def _tight_edges(

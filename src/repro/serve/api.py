@@ -45,6 +45,7 @@ and wall-clock timings differ between two identical requests.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import asdict
@@ -108,9 +109,17 @@ def _payload_float(
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ApiError(400, f"field {key!r} must be a number")
-    if positive and value <= 0:
-        raise ApiError(400, f"field {key!r} must be positive")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        number = math.inf if value > 0 else -math.inf
+    if positive:
+        # Python's json accepts the literals NaN and Infinity.
+        if not math.isfinite(number):
+            raise ApiError(400, f"field {key!r} must be finite")
+        if number <= 0:
+            raise ApiError(400, f"field {key!r} must be positive")
+    return number
 
 
 def _payload_int_list(payload: Mapping[str, Any], key: str) -> List[int]:

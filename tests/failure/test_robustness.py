@@ -167,6 +167,18 @@ class TestExtremeParameters:
         result = plan_route(toy_instance, config)
         assert result.route.num_stops <= 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_c_rejected(self, bad):
+        """C = NaN used to pass validation and die in price_from_distance
+        (math.ceil(nan)) with a bare ValueError; C = inf passed too."""
+        with pytest.raises(ConfigurationError, match="max_adjacent_cost"):
+            EBRRConfig(max_stops=3, max_adjacent_cost=bad, alpha=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_alpha_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            EBRRConfig(max_stops=3, max_adjacent_cost=4.0, alpha=bad)
+
 
 class TestDisconnectedInputs:
     def test_query_cannot_reach_stop(self):

@@ -380,11 +380,11 @@ class TestKernelResolution:
 
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel(None).name == "python"
+        assert resolve_kernel(None).name == "vectorized"
 
     def test_env_picks_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", " vectorized ")
-        assert resolve_kernel(None).name == "vectorized"
+        monkeypatch.setenv("REPRO_KERNEL", " python ")
+        assert resolve_kernel(None).name == "python"
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:

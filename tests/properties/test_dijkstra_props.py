@@ -123,7 +123,8 @@ def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost
     full = engine.sssp(source)
     bounded = engine.sssp(source, max_cost=max_cost)
     for v in network.nodes():
-        if full[v] <= max_cost + 1e-9:
+        # The bound is inclusive and exact: a node 1 ulp past it is out.
+        if full[v] <= max_cost:
             assert bounded[v] == full[v]
         else:
             assert bounded[v] == math.inf
@@ -142,7 +143,8 @@ def test_bounded_multi_source_agrees_with_unbounded(network, seed, max_cost):
     full = engine.multi_source(sources)
     bounded = engine.multi_source(sources, max_cost=max_cost)
     for v in network.nodes():
-        if full[v] <= max_cost + 1e-9:
+        # The bound is inclusive and exact: a node 1 ulp past it is out.
+        if full[v] <= max_cost:
             assert bounded[v] == full[v]
         else:
             assert bounded[v] == math.inf

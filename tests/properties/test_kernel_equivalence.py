@@ -42,6 +42,35 @@ def cities(draw):
     return sprawl_city(draw(st.integers(20, 80)), extent_km=6.0, seed=seed)
 
 
+@st.composite
+def wide_cities(draw):
+    """Instances several kilometres across: the vectorized backend
+    groups query balls by spatial tile, so a batch drawn here spans
+    several groups and its balls cross group edges."""
+    family = draw(st.sampled_from(["grid", "radial", "sprawl"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if family == "grid":
+        return grid_city(
+            draw(st.integers(4, 9)),
+            draw(st.integers(4, 9)),
+            block_km=draw(st.floats(0.4, 1.5)),
+            seed=seed,
+        )
+    if family == "radial":
+        return radial_city(
+            num_boroughs=draw(st.integers(2, 4)),
+            nodes_per_borough=draw(st.integers(12, 40)),
+            borough_radius_km=2.5,
+            spacing_km=7.0,
+            seed=seed,
+        )
+    return sprawl_city(
+        draw(st.integers(30, 100)),
+        extent_km=draw(st.floats(6.0, 16.0)),
+        seed=seed,
+    )
+
+
 def engines(network):
     """A fresh engine pair (reference, vectorized) over one network."""
     return (
@@ -222,27 +251,118 @@ def test_forward_replay_bit_identical(network, seed, m):
         assert rp[s] == 0.0
 
 
-@settings(max_examples=25, deadline=None)
-@given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_batch_query_rows_bit_identical(network, seed, m):
+def ball_inputs(network, sources, nodes):
+    """``(nn_forward, labels)`` of ``nodes`` from the label field of
+    ``sources``, built on a third engine so the counters compared by
+    :func:`assert_balls_identical` cover exactly the ball searches."""
+    helper = SearchEngine(network, kernel="python")
+    field = helper.multi_source_labels(sources, cached=False)
+    nn_forward = helper.label_forward_distances(field, nodes)
+    return nn_forward, [field.label[node] for node in nodes]
+
+
+def assert_balls_identical(network, nodes, nn_forward, labels, is_candidate):
     ep, ev = engines(network)
+    rp = ep.batch_query_rows(nodes, nn_forward, labels, is_candidate)
+    rv = ev.batch_query_rows(nodes, nn_forward, labels, is_candidate)
+    assert rp == rv  # counts, flat members + dists, and ball sizes
+    assert all(type(c) is int for c in rv[0])
+    assert all(type(u) is int for u in rv[1])
+    assert all(type(d) is float for d in rv[2])  # no np.float64 leakage
+    assert all(type(c) is int for c in rv[3])
+    assert invariant_counters(ep) == invariant_counters(ev)
+    return rp
+
+
+@settings(max_examples=25, deadline=None)
+@given(network=wide_cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
+def test_batch_query_rows_bit_identical(network, seed, m):
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     source_set = set(sources)
     is_candidate = [u % 3 == 0 and u not in source_set for u in range(n)]
     nodes = [u for u in range(n) if u % 2 == 0]
-    # The field comes from a third engine so the counters compared
-    # below cover exactly the query-ball searches on each side.
-    helper = SearchEngine(network, kernel="python")
-    field = helper.multi_source_labels(sources, cached=False)
-    nn_forward = helper.label_forward_distances(field, nodes)
-    labels = [field.label[node] for node in nodes]
-    rp = ep.batch_query_rows(nodes, nn_forward, labels, is_candidate)
-    rv = ev.batch_query_rows(nodes, nn_forward, labels, is_candidate)
-    assert rp == rv  # counts, flat members + dists, and ball sizes
-    assert all(type(d) is float for d in rv[2])  # no np.float64 leakage
-    assert all(type(u) is int for u in rv[1])
-    assert invariant_counters(ep) == invariant_counters(ev)
+    nn_forward, labels = ball_inputs(network, sources, nodes)
+    assert_balls_identical(network, nodes, nn_forward, labels, is_candidate)
+
+
+class TestBatchQueryRowsCases:
+    """Fixed ball batches at the edges of the vectorized backend's
+    grouping: a zero radius, a lone row, balls wider than any tile, and
+    one outlier radius inside an otherwise small-radius group."""
+
+    #: 12 x 12 blocks of 0.75 km: about 8 km across.
+    WIDE = grid_city(12, 12, block_km=0.75, seed=5)
+
+    @staticmethod
+    def _candidates(network, sources):
+        source_set = set(sources)
+        return [
+            u % 2 == 1 and u not in source_set
+            for u in range(network.num_nodes)
+        ]
+
+    def test_query_on_existing_stop_has_radius_zero(self):
+        network = self.WIDE
+        sources = list(range(0, network.num_nodes, 9))
+        nodes = [sources[3], 1, sources[5], 2]
+        nn_forward, labels = ball_inputs(network, sources, nodes)
+        assert nn_forward[0] == 0.0 and nn_forward[2] == 0.0
+        counts, _members, _dists, settled = assert_balls_identical(
+            network, nodes, nn_forward, labels,
+            self._candidates(network, sources),
+        )
+        # A radius-0 ball settles only its own node and has no members.
+        assert (counts[0], settled[0]) == (0, 1)
+        assert (counts[2], settled[2]) == (0, 1)
+
+    def test_single_row(self):
+        network = self.WIDE
+        sources = [0, network.num_nodes - 1]
+        nodes = [network.num_nodes // 2]
+        nn_forward, labels = ball_inputs(network, sources, nodes)
+        counts, _m, _d, _s = assert_balls_identical(
+            network, nodes, nn_forward, labels,
+            self._candidates(network, sources),
+        )
+        assert counts[0] > 0
+
+    def test_balls_cross_group_edges(self):
+        # Two stops in opposite corners: radii run to several km, so
+        # every ball spills across tile edges into neighbouring groups.
+        network = self.WIDE
+        sources = [0, network.num_nodes - 1]
+        nodes = list(range(network.num_nodes))
+        nn_forward, labels = ball_inputs(network, sources, nodes)
+        assert max(nn_forward) > 4.0
+        assert_balls_identical(
+            network, nodes, nn_forward, labels,
+            self._candidates(network, sources),
+        )
+
+    def test_one_radius_far_above_its_group(self):
+        # 39 x 39 blocks of 50 m fit in one 2 km square, so every row
+        # shares a group; dense stops keep the radii tiny except for a
+        # few rows whose radius covers the whole city.  The group's
+        # union ball is then the whole city, and its rows x |U| block
+        # is large enough to be split by radius.
+        network = grid_city(39, 39, block_km=0.05, seed=9)
+        n = network.num_nodes
+        sources = list(range(0, n, 7))
+        nodes = list(range(n))
+        nn_forward, labels = ball_inputs(network, sources, nodes)
+        outliers = (1, n // 2 + 1, n - 3)
+        for i in outliers:
+            nn_forward[i] = 50.0
+        counts, _m, _d, settled = assert_balls_identical(
+            network, nodes, nn_forward, labels,
+            self._candidates(network, sources),
+        )
+        for i in outliers:  # each outlier's ball is the whole city
+            assert settled[i] == n and counts[i] > n // 10
+        assert max(
+            size for i, size in enumerate(settled) if i not in outliers
+        ) < n // 10
 
 
 @settings(max_examples=15, deadline=None)

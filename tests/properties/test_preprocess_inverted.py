@@ -20,6 +20,7 @@ from repro.core.config import EBRRConfig
 from repro.core.ebrr import plan_route
 from repro.core.preprocess import per_query_preprocess, preprocess_queries
 from repro.core.utility import BRRInstance
+from repro.datasets import load_city
 from repro.demand.generators import hotspot_demand
 from repro.network.engine import SearchEngine
 from repro.network.generators import grid_city, radial_city, sprawl_city
@@ -114,6 +115,26 @@ class TestStrategyEquivalence:
         assert pq.route.stops == inv.route.stops
         assert pq.route.path == inv.route.path
         assert pq.metrics == inv.metrics
+
+
+class TestBenchmarkCities:
+    """The benchmark's three cities at smoke scale, deterministic.
+    Orlando's radii are heavy-tailed (at 0.2 the median is 1.85 km and
+    the max 16.9 km), so its balls mix small and city-wide ones."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "city,scale", [("chicago", 0.06), ("nyc", 0.06), ("orlando", 0.08)]
+    )
+    def test_matches_oracle(self, city, scale, kernel):
+        instance = load_city(city, scale=scale).instance(1.0)
+        per_query = per_query_preprocess(
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
+        )
+        inverted = preprocess_queries(
+            instance, engine=SearchEngine(instance.network, kernel=kernel)
+        )
+        assert_equal_preprocessing(per_query, inverted)
 
 
 class TestAccounting:

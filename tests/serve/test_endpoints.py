@@ -10,6 +10,8 @@ import http.client
 import json
 import time
 
+import pytest
+
 from .conftest import CITY
 
 
@@ -167,6 +169,28 @@ class TestCleanErrors:
         )
         assert status == 400
         assert ">= 2" in body["error"]
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            b"NaN",
+            b"Infinity",
+            b"-Infinity",
+            pytest.param(b"1" + b"0" * 400, id="int-beyond-double"),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["max_adjacent_cost", "timeout_s"])
+    def test_non_finite_number_is_400(self, live, field, literal):
+        # Python's json parses these literals; NaN used to reach the
+        # planner (500), Infinity used to plan (200), and an integer
+        # past the double range raised OverflowError (500).
+        body = b'{"dataset": "%s", "%s": %s}' % (
+            CITY.encode(), field.encode(), literal
+        )
+        status, raw = live.raw_post("/v1/plan", body)
+        assert status == 400
+        assert field in raw and "finite" in raw
+        assert "Traceback" not in raw
 
     def test_journey_out_of_range_node(self, live):
         status, body = live.post(
