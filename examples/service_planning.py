@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""Full service planning: route -> frequency -> rider impact -> map.
+"""Full service planning: route -> polish -> rider impact -> map.
 
-The paper plans the route; a transit agency then has to set the
-frequency, predict the rider impact, and present the plan.  This
-example chains the whole pipeline on one city:
+The paper plans the route; a transit agency then has to predict the
+rider impact and present the plan.  This example chains the whole
+pipeline on one city:
 
 1. plan the route with EBRR (the paper's contribution);
 2. polish it with the post-processing local search (the paper's
    future-work second stage);
-3. set the headway from the estimated peak load
-   (``repro.transit.frequency``);
-4. measure door-to-door travel-time impact with the journey planner,
-   using the planned headway as the boarding penalty;
-5. render the case-study map to ``service_plan.svg``.
+3. measure door-to-door travel-time impact with the journey planner
+   (its default boarding penalty);
+4. render the case-study map to ``service_plan.svg``.
 
 Run:
     python examples/service_planning.py
@@ -23,7 +21,7 @@ from repro.core.postprocess import postprocess_route
 from repro.datasets import load_city
 from repro.eval.experiments import calibrated_alpha
 from repro.eval.visualize import render_case_study
-from repro.transit import JourneyPlanner, set_frequency
+from repro.transit import JourneyPlanner
 
 
 def main() -> None:
@@ -45,16 +43,7 @@ def main() -> None:
     )
     route = polished.route
 
-    # 3. frequency setting
-    plan = set_frequency(city.transit, route, city.queries,
-                         vehicle_capacity=60)
-    print(
-        f"3. frequency: every {plan.headway_min:.1f} min "
-        f"({plan.buses_per_hour:.1f} buses/h; peak load "
-        f"{plan.peak_load:,.0f} pax/h)"
-    )
-
-    # 4. rider impact with the planned headway
+    # 3. rider impact
     import numpy as np
 
     rng = np.random.default_rng(7)
@@ -66,27 +55,24 @@ def main() -> None:
         if a != b:
             trips.append((a, b))
     before = JourneyPlanner(city.transit)
-    after = JourneyPlanner(
-        city.transit.with_route(route),
-        boarding_penalty_min=plan.boarding_penalty_min,
-    )
+    after = JourneyPlanner(city.transit.with_route(route))
     t_before = before.average_travel_time(trips)
     t_after = after.average_travel_time(trips)
     print(
-        f"4. rider impact: avg door-to-door {t_before:.1f} -> "
+        f"3. rider impact: avg door-to-door {t_before:.1f} -> "
         f"{t_after:.1f} min ({t_before - t_after:+.1f})"
     )
 
-    # 5. the map
+    # 4. the map
     render_case_study(
         city.network,
         city.queries,
         city.transit.existing_stops,
         route,
         "service_plan.svg",
-        title=f"{city.name}: new route, every {plan.headway_min:.0f} min",
+        title=f"{city.name}: new route",
     )
-    print("5. map written to service_plan.svg")
+    print("4. map written to service_plan.svg")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ describes (adjust the input, re-plan, inspect):
 * ``case-study`` — plan one route on ridership-style demand and write
   the Figs. 1/12-style artefacts (SVG map + GeoJSON route);
 * ``lint`` — run reprolint, the repo's AST-based architectural
-  invariant checker (see :mod:`repro.lint` and DESIGN.md);
+  invariant checker; its arguments go unchanged to ``python -m
+  repro.lint`` (see :mod:`repro.lint` and DESIGN.md);
 * ``trace`` — inspect a Chrome trace written by ``plan --trace`` or
   ``sweep --trace`` (``trace summarize FILE`` prints the deterministic
   text tree; the JSON itself loads in chrome://tracing or Perfetto);
@@ -38,8 +39,6 @@ from .datasets.registry import available_cities, load_city
 from .eval.experiments import calibrated_alpha, dataset_statistics, effect_of_k
 from .eval.export import rows_to_csv
 from .eval.reporting import format_series, format_table
-from .lint.baseline import DEFAULT_BASELINE_NAME
-from .lint.report import format_names as lint_format_names
 from .network.engine import available_kernels
 
 
@@ -114,31 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--geojson", type=str, default=None,
                       help="optional output GeoJSON path")
 
-    lint = sub.add_parser(
-        "lint", help="check the source against the RL002-RL012 invariants"
+    # Listed for --help only: main() hands `repro lint ARGS` to
+    # repro.lint's own parser before this one runs.
+    sub.add_parser(
+        "lint", add_help=False,
+        help="check the source against the reprolint invariants "
+             "(arguments as for python -m repro.lint)",
     )
-    lint.add_argument("paths", nargs="*", default=[],
-                      help=("files or directories to lint (default: the "
-                            "[tool.reprolint] include paths, or src)"))
-    lint.add_argument("--format", choices=lint_format_names(), default="text",
-                      help="output format (default: text)")
-    lint.add_argument("--select", type=str, default=None, metavar="IDS",
-                      help="comma-separated rule ids to run")
-    lint.add_argument("--no-config", action="store_true",
-                      help="ignore [tool.reprolint] in pyproject.toml")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the registered rules and exit")
-    lint.add_argument("--baseline", nargs="?", const=DEFAULT_BASELINE_NAME,
-                      default=None, metavar="PATH",
-                      help="ratchet mode: fail if any rule count grows")
-    lint.add_argument("--write-baseline", nargs="?",
-                      const=DEFAULT_BASELINE_NAME, default=None,
-                      metavar="PATH",
-                      help="record current counts as the new baseline")
-    lint.add_argument("--cache", type=str, default=None, metavar="PATH",
-                      help="incremental cache file location")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the incremental cache")
 
     serve = sub.add_parser(
         "serve", help="run the planning-as-a-service HTTP daemon"
@@ -271,6 +252,11 @@ def gate_tolerance():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from .lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "stats":
         return _cmd_stats(args)
@@ -282,8 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_case_study(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "query":
@@ -296,28 +280,6 @@ def _cmd_stats(args) -> int:
     rows = dataset_statistics([dataset])
     print(format_table(rows, title="Dataset statistics (Table II layout)"))
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from .lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select is not None:
-        argv += ["--select", args.select]
-    if args.no_config:
-        argv.append("--no-config")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline is not None:
-        argv += ["--write-baseline", args.write_baseline]
-    if args.cache is not None:
-        argv += ["--cache", args.cache]
-    if args.no_cache:
-        argv.append("--no-cache")
-    return lint_main(argv)
 
 
 def _cmd_query(args) -> int:

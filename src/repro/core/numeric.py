@@ -1,10 +1,10 @@
-"""Shared float-comparison tolerances (the RL004 helpers).
+"""Shared float-comparison tolerances (the RL007 helpers).
 
 Costs, utilities, and walk distances in this package are sums of many
 float edge weights, so exact ``==``/``!=`` comparisons are one
 refactor-induced ulp away from flipping.  Every tolerant comparison in
 ``src/`` goes through these helpers so the tolerance is defined exactly
-once; the reprolint RL004 rule points violators here.
+once; the reprolint RL007 rule points violators here.
 
 The default tolerances mirror the search substrate: ``REL_TOL`` matches
 the ``1e-9`` epsilon the engine and the bounded searches already use,

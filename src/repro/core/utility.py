@@ -41,7 +41,7 @@ class BRRInstance:
             every non-stop network node (see
             :mod:`repro.network.candidates`).  Must be disjoint from
             ``S_existing``.
-        alpha: the utility trade-off ``α`` (must be positive).
+        alpha: the utility trade-off ``α`` (must be positive and finite).
     """
 
     def __init__(
@@ -52,8 +52,11 @@ class BRRInstance:
         candidates: Optional[Sequence[int]] = None,
         alpha: float = 1.0,
     ) -> None:
-        if alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {alpha}")
+        # Written as 0 < x < inf so that NaN fails too (as in EBRRConfig).
+        if not 0.0 < alpha < math.inf:
+            raise ConfigurationError(
+                f"alpha must be positive and finite, got {alpha}"
+            )
         if queries.network is not transit.road_network:
             raise DemandError("queries and transit must share the road network")
         self.transit = transit

@@ -4,9 +4,7 @@ generators, spatial partitioners, and ridership simulation."""
 from .generators import commute_demand, hotspot_demand, uniform_demand
 from .partition import by_regions, vertical_bands
 from .query import QuerySet, TransitQuery
-from .od_matrix import ODMatrix, ZoneGrid
 from .ridership import ridership_demand, uncovered_query_nodes
-from .temporal import TemporalDemand, simulate_daily_profile
 
 __all__ = [
     "TransitQuery",
@@ -18,8 +16,4 @@ __all__ = [
     "by_regions",
     "ridership_demand",
     "uncovered_query_nodes",
-    "TemporalDemand",
-    "simulate_daily_profile",
-    "ZoneGrid",
-    "ODMatrix",
 ]

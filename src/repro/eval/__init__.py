@@ -26,11 +26,9 @@ from .metrics import (
     utility,
     walking_cost,
 )
-from .regression import ComparisonReport, Regression, compare_rows
 from .reporting import format_series, format_table, print_and_save, save_report
 from .runner import EBRRPlanner, default_planners, run_planners
 from .sensitivity import seed_robustness
-from .timing import stopwatch, timed
 
 __all__ = [
     "walking_cost",
@@ -62,13 +60,8 @@ __all__ = [
     "load_rows_json",
     "GeoJsonWriter",
     "route_to_geojson",
-    "compare_rows",
-    "ComparisonReport",
-    "Regression",
     "format_table",
     "format_series",
     "save_report",
     "print_and_save",
-    "stopwatch",
-    "timed",
 ]

@@ -7,6 +7,7 @@ The benchmarks in ``benchmarks/`` are thin wrappers around these.
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,8 +66,10 @@ def calibrated_alpha(
     *both* axes across K, as in Figs. 7/8.  Cached per live (dataset,
     top_k); ``balance`` rescales the cached base value.
     """
-    if balance <= 0:
-        raise ConfigurationError(f"balance must be positive, got {balance}")
+    if not 0.0 < balance < math.inf:
+        raise ConfigurationError(
+            f"balance must be positive and finite, got {balance}"
+        )
     key = (id(dataset), top_k)
     if key not in _ALPHA_CACHE:
         from ..core.preprocess import preprocess_queries

@@ -1,25 +1,24 @@
 """reprolint — static enforcement of this repo's architectural invariants.
 
-PR 1 centralised every graph search behind the cached
-:class:`~repro.network.engine.SearchEngine`; correctness now rests on
+Every graph search goes through the cached
+:class:`~repro.network.engine.SearchEngine`, so correctness rests on
 conventions (no kernel bypasses, version-bumped graph mutation,
-deterministic iteration, tolerant float comparison, fork-safe pool
-shipment, span-covered phases, kernel-confined hot loops) that code
+deterministic iteration, tolerant float comparison, clock reads owned
+by the trace, span-covered phases, kernel-confined hot loops) that code
 review alone cannot guarantee.  This package turns them into CI
-failures:
+failures, one rule per invariant:
 
-* ``python -m repro.lint [paths]`` or ``repro lint [paths]``;
-* per-file rules RL002–RL009 plus cross-module rules RL010–RL012 built
+* ``python -m repro.lint [paths]`` or ``repro lint [paths]`` (the same
+  command line);
+* per-file rules RL002–RL009 plus cross-module rules RL011–RL012 built
   on a whole-program :class:`~repro.lint.project.ProjectModel` and call
   graph (see ``--list-rules`` and DESIGN.md);
-* an on-disk incremental cache (content hash → parsed facts) keeping
-  warm runs fast in CI and pre-commit;
 * output formats ``text``, ``json``, ``github`` (inline PR annotations);
 * per-line ``# reprolint : disable=RL003`` and per-file
-  ``# reprolint : disable-file=RL004`` suppressions (space added here
+  ``# reprolint : disable-file=RL007`` suppressions (space added here
   so the docstring is not itself a directive) — stale ones are
-  reported as unused, and ``--baseline`` ratchets both violation and
-  suppression counts downward only;
+  reported as unused, and :func:`run_lint` counts them per rule so the
+  repo's test suite can pin the count;
 * repo policy in ``pyproject.toml`` under ``[tool.reprolint]``.
 
 The analyzer is stdlib-only (``ast`` + optional ``tomllib``) so the
@@ -34,7 +33,6 @@ from .analyzer import (
     iter_python_files,
     run_lint,
 )
-from .baseline import check_baseline, load_baseline, write_baseline
 from .callgraph import CallGraph
 from .cli import main
 from .config import LintConfig, load_config
@@ -62,19 +60,16 @@ __all__ = [
     "Rule",
     "Violation",
     "all_rules",
-    "check_baseline",
     "check_paths",
     "check_source",
     "check_sources",
     "extract_facts",
     "iter_python_files",
     "known_rule_ids",
-    "load_baseline",
     "load_config",
     "main",
     "module_name_for",
     "register",
     "render",
     "run_lint",
-    "write_baseline",
 ]

@@ -2,13 +2,11 @@
 
 The pipeline has two phases.  The **per-file** phase parses each file
 once, runs every per-file rule (RL002–RL009) over the tree, and
-extracts the :class:`~repro.lint.project.FileFacts` record; both
-outputs are content-addressed, so the incremental cache
-(:mod:`repro.lint.cache`) can skip this phase entirely for unchanged
-files.  The **project** phase stitches all facts into a
+extracts the :class:`~repro.lint.project.FileFacts` record.  The
+**project** phase stitches all facts into a
 :class:`~repro.lint.project.ProjectModel` + call graph and runs the
-cross-module rules (RL010–RL012) — always fresh, because their answers
-depend on every file at once.
+cross-module rules (RL011, RL012), whose answers depend on every file
+at once.
 
 Downstream of both: config/``--select`` filtering, inline-suppression
 filtering, and the unused-suppression check (a ``# reprolint:
@@ -16,9 +14,10 @@ disable=RLxxx`` whose rule no longer fires on that line is itself
 reported, as :data:`~repro.lint.violations.META_RULE_ID`), then one
 sorted violation list.
 
-:func:`check_source` / :func:`check_paths` keep their historical
-list-of-violations signatures; :func:`run_lint` is the full-fat entry
-the CLI uses (cache + suppression counts for the baseline ratchet).
+:func:`check_source` / :func:`check_paths` return the violation list;
+:func:`run_lint` is the entry the CLI uses and also reports the
+per-rule suppression counts (pinned by the repo's own test suite, so
+suppressions cannot grow silently).
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from .cache import CacheStats, LintCache, content_hash, ruleset_signature
 from .callgraph import CallGraph
 from .config import LintConfig
 from .project import (
@@ -85,52 +83,25 @@ class LintRun:
 
     Attributes:
         violations: the final, sorted, filtered list.
-        suppression_counts: inline-suppression directives per rule id
-            (the ratchet's second column).
-        cache_stats: hit/miss accounting, when a cache was in use.
-        files: number of files analyzed.
+        suppression_counts: inline-suppression directives per rule id.
     """
 
     violations: List[Violation]
     suppression_counts: Dict[str, int]
-    cache_stats: Optional[CacheStats]
-    files: int
 
 
 def _run_file_rules(path: str, tree: ast.Module, lines: List[str]) -> List[Violation]:
-    """Every per-file rule over one tree — unfiltered; filtering happens
-    downstream so results are cacheable under any config/--select."""
+    """Every per-file rule over one tree — unfiltered; config/--select
+    filtering happens downstream, with the project rules' output."""
     context = FileContext(path=path, tree=tree, source_lines=lines)
     for rule_cls in file_rules().values():
         rule_cls(context).run()
     return context.violations
 
 
-def _analyze_file(
-    path: str,
-    source: str,
-    known_ids: Iterable[str],
-    *,
-    source_bytes: Optional[bytes] = None,
-    cache: Optional[LintCache] = None,
-) -> _FileRecord:
+def _analyze_file(path: str, source: str, known_ids: Iterable[str]) -> _FileRecord:
     lines = source.splitlines()
     suppressions = parse_suppressions(path, lines, known_ids)
-    digest = None
-    if cache is not None:
-        digest = content_hash(
-            source_bytes if source_bytes is not None else source.encode("utf-8")
-        )
-        cached = cache.lookup(path, digest)
-        if cached is not None:
-            facts, raw = cached
-            return _FileRecord(
-                path=path,
-                source_lines=lines,
-                facts=facts,
-                raw_violations=raw,
-                suppressions=suppressions,
-            )
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -151,15 +122,11 @@ def _analyze_file(
                 )
             ],
         )
-    raw = _run_file_rules(path, tree, lines)
-    facts = extract_facts(path, tree)
-    if cache is not None and digest is not None:
-        cache.store(path, digest, facts, raw)
     return _FileRecord(
         path=path,
         source_lines=lines,
-        facts=facts,
-        raw_violations=raw,
+        facts=extract_facts(path, tree),
+        raw_violations=_run_file_rules(path, tree, lines),
         suppressions=suppressions,
     )
 
@@ -258,7 +225,7 @@ def check_sources(
 
     The fixture entry point for cross-module rules: keys are the paths
     the project model derives module names from, values are source
-    text.  No cache is involved.
+    text.
     """
     config = config or LintConfig()
     known = all_rules()
@@ -304,7 +271,6 @@ def run_lint(
     *,
     config: Optional[LintConfig] = None,
     select: Optional[Iterable[str]] = None,
-    cache_path: Optional[str] = None,
 ) -> LintRun:
     """The full pipeline over files on disk.
 
@@ -312,30 +278,20 @@ def run_lint(
         paths: files and directory trees to lint.
         config: resolved configuration.
         select: restrict reporting to these rule ids.
-        cache_path: where the incremental cache lives; ``None`` runs
-            cold and writes nothing.
 
     Returns:
-        A :class:`LintRun` with the violations, the per-rule
-        suppression-directive counts (for the baseline ratchet), and
-        the cache accounting.
+        A :class:`LintRun` with the violations and the per-rule
+        suppression-directive counts.
     """
     config = config or LintConfig()
     known = all_rules()
-    cache: Optional[LintCache] = None
-    if cache_path is not None:
-        cache = LintCache.load(cache_path, ruleset_signature(known))
     records: List[_FileRecord] = []
-    filenames = [
-        name
-        for name in iter_python_files(paths)
-        if not config.path_excluded(name)
-    ]
-    for filename in filenames:
+    for filename in iter_python_files(paths):
+        if config.path_excluded(filename):
+            continue
         try:
-            with open(filename, "rb") as handle:
-                raw_bytes = handle.read()
-            source = raw_bytes.decode("utf-8")
+            with open(filename, encoding="utf-8") as handle:
+                source = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             records.append(
                 _FileRecord(
@@ -359,11 +315,7 @@ def run_lint(
                 )
             )
             continue
-        records.append(
-            _analyze_file(
-                filename, source, known, source_bytes=raw_bytes, cache=cache
-            )
-        )
+        records.append(_analyze_file(filename, source, known))
     project_violations = _run_project_rules(records)
     violations = _finalize(
         records, project_violations, config, _normalize_select(select)
@@ -374,14 +326,9 @@ def run_lint(
             suppression_counts[directive.rule_id] = (
                 suppression_counts.get(directive.rule_id, 0) + 1
             )
-    if cache is not None:
-        cache.prune(filenames)
-        cache.save()
     return LintRun(
         violations=violations,
         suppression_counts=dict(sorted(suppression_counts.items())),
-        cache_stats=cache.stats if cache is not None else None,
-        files=len(records),
     )
 
 
@@ -392,5 +339,5 @@ def check_paths(
     select: Optional[Iterable[str]] = None,
 ) -> List[Violation]:
     """Lint files and directory trees; the union of per-file results
-    plus the cross-module rules over the whole set (uncached)."""
+    plus the cross-module rules over the whole set."""
     return run_lint(paths, config=config, select=select).violations

@@ -23,7 +23,6 @@ class CallGraph:
     def __init__(self, model: ProjectModel) -> None:
         self.model = model
         self._callees: Dict[str, List[Tuple[str, int]]] = {}
-        self._callers: Dict[str, List[str]] = {}
         for module, facts in model.modules.items():
             for fact in facts.functions:
                 edges: List[Tuple[str, int]] = []
@@ -32,8 +31,6 @@ class CallGraph:
                     if target is not None and target != fact.qname:
                         edges.append((target, lineno))
                 self._callees[fact.qname] = edges
-                for target, _ in edges:
-                    self._callers.setdefault(target, []).append(fact.qname)
 
     def callees(self, qname: str) -> List[str]:
         """Functions ``qname`` directly calls (deduplicated, in call order)."""
@@ -42,10 +39,6 @@ class CallGraph:
             if target not in seen:
                 seen.append(target)
         return seen
-
-    def callers(self, qname: str) -> List[str]:
-        """Functions with a direct edge into ``qname``."""
-        return sorted(set(self._callers.get(qname, [])))
 
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """Every function reachable from ``roots`` (roots included,

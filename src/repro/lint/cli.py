@@ -1,31 +1,17 @@
 """The ``python -m repro.lint`` / ``repro lint`` command line.
 
-Exit codes follow CI conventions: 0 clean (or within the baseline in
-``--baseline`` mode), 1 violations found (or ratchet exceeded), 2 usage
-or environment errors (bad path, unknown rule id, unreadable baseline).
-
-The incremental cache is on by default (``.reprolint-cache.json`` next
-to ``pyproject.toml``); ``--no-cache`` forces a cold run, and the
-hit/miss accounting goes to stderr so the machine-readable stdout
-formats stay pure.
+``repro lint ARGS`` hands ``ARGS`` to :func:`main` unchanged, so the
+two spellings share this one parser.  Exit codes follow CI conventions:
+0 clean, 1 violations found, 2 usage or environment errors (bad path,
+unknown rule id).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 from typing import List, Optional, Sequence
 
 from .analyzer import run_lint
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    check_baseline,
-    load_baseline,
-    violation_counts,
-    write_baseline,
-)
-from .cache import DEFAULT_CACHE_NAME
 from .config import LintConfig, load_config
 from .registry import all_rules, project_rules
 from .report import format_names, render
@@ -38,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
             "reprolint: whole-program AST checker for this repo's "
             "architectural invariants (engine-routed searches, "
             "cache-safe graph mutation, deterministic iteration, "
-            "tolerant float compares, fork-safe pool shipment, "
+            "tolerant float compares, trace-owned clock reads, "
             "span-covered phases, kernel-confined hot loops)"
         ),
     )
@@ -65,31 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
     )
-    parser.add_argument(
-        "--baseline", nargs="?", const=DEFAULT_BASELINE_NAME, default=None,
-        metavar="PATH",
-        help=(
-            "ratchet mode: exit 0 iff no rule's violation or "
-            "suppression count exceeds the recorded baseline "
-            f"(default path: {DEFAULT_BASELINE_NAME})"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", nargs="?", const=DEFAULT_BASELINE_NAME,
-        default=None, metavar="PATH",
-        help="record the current counts as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--cache", type=str, default=None, metavar="PATH",
-        help=(
-            "incremental cache file (default: "
-            f"{DEFAULT_CACHE_NAME} next to pyproject.toml)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache (cold run, writes nothing)",
-    )
     return parser
 
 
@@ -101,17 +62,6 @@ def list_rules() -> str:
         lines.append(f"{rule_id}  {rule_cls.title} [{scope}]")
         lines.append(f"       {rule_cls.rationale}")
     return "\n".join(lines)
-
-
-def _resolve_cache_path(
-    args: argparse.Namespace, config: LintConfig
-) -> Optional[str]:
-    if args.no_cache:
-        return None
-    if args.cache is not None:
-        return args.cache
-    root = config.root if config.root is not None else "."
-    return os.path.join(root, DEFAULT_CACHE_NAME)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -130,45 +80,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = LintConfig() if args.no_config else load_config()
     paths = args.paths if args.paths else config.default_paths()
     try:
-        run = run_lint(
-            paths,
-            config=config,
-            select=select,
-            cache_path=_resolve_cache_path(args, config),
-        )
+        run = run_lint(paths, config=config, select=select)
     except FileNotFoundError as exc:
         print(str(exc))
         return 2
     output = render(run.violations, args.format)
     if output:
         print(output)
-    if run.cache_stats is not None:
-        stats = run.cache_stats
-        print(
-            f"reprolint: cache {stats.hits} hit(s), {stats.misses} "
-            f"miss(es) across {run.files} file(s)",
-            file=sys.stderr,
-        )
-    current = violation_counts(run.violations)
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, current, run.suppression_counts)
-        print(
-            f"reprolint: baseline written to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        report = check_baseline(baseline, current, run.suppression_counts)
-        for line in report.improvements:
-            print(f"reprolint: ratchet slack — {line}", file=sys.stderr)
-        for line in report.failures:
-            print(f"reprolint: ratchet FAILED — {line}", file=sys.stderr)
-        if report.ok:
-            print("reprolint: ratchet ok", file=sys.stderr)
-        return 0 if report.ok else 1
     return 1 if run.violations else 0

@@ -1,21 +1,15 @@
 """The whole-program project model: parse once, query everywhere.
 
-Per-file rules (RL002–RL009) see one file at a time; the invariants
-PRs 3–6 introduced are *cross-module* — "nothing reachable from a pool
-submission mutates module globals", "every phase entry point opens a
-span".  This module gives those rules something to query: one pass over
-every linted file extracts a compact, JSON-serializable
-:class:`FileFacts` record (imports, function/class symbols with
-decorator tags, call references, loop sites, pool-submission sites),
-and :class:`ProjectModel` stitches the records into a module graph with
-a name-resolution API (``resolve`` a dotted call in a module's scope to
-the fully-qualified function it names).
-
-Facts — not ASTs — are the unit of caching: they round-trip through
-``as_dict``/``facts_from_dict``, so the incremental cache
-(:mod:`repro.lint.cache`) can skip re-parsing unchanged files entirely
-while the cross-module rules still run fresh on every invocation
-(they are cheap graph queries; parsing is the cost worth skipping).
+Per-file rules (RL002–RL009) see one file at a time; some invariants
+are *cross-module* — "every phase entry point opens a span, directly or
+through a callee", "CSR hot loops live in the kernels package".  This
+module gives those rules something to query: one pass over every linted
+file extracts a compact :class:`FileFacts` record (imports, function
+symbols with decorator tags and span usage, call references,
+CSR-touching loop sites), and :class:`ProjectModel`
+stitches the records into a module graph with a name-resolution API
+(``resolve`` a dotted call in a module's scope to the fully-qualified
+function it names).
 
 Resolution is deliberately conservative: a dotted reference that cannot
 be traced through the import map or the module's own symbols resolves
@@ -27,8 +21,8 @@ hallucinate an edge, which is the right failure mode for a linter.
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: The CSR flat-adjacency views and per-node adjacency dict; a Python
 #: loop reading these is a hot loop the vectorized kernels should own
@@ -51,15 +45,6 @@ def loop_signal(touches: Iterable[str]) -> bool:
     touched = set(touches)
     return bool(touched & _STRONG_CSR_ATTRS) or len(touched) >= 2
 
-#: Pool methods that submit *task* callables to worker processes.
-POOL_TASK_METHODS = frozenset(
-    {"map", "map_async", "imap", "imap_unordered", "starmap", "starmap_async",
-     "apply", "apply_async", "submit"}
-)
-
-#: Constructors whose result is a live search engine; shipping one into
-#: a pool re-pickles caches and forks unshared state (RL010).
-ENGINE_CONSTRUCTORS = frozenset({"SearchEngine", "engine_for"})
 
 _SPAN_CALL_NAMES = frozenset({"span", "tracing"})
 _SPAN_ATTR_NAMES = frozenset({"span", "tracing", "begin"})
@@ -76,9 +61,6 @@ class FunctionFact:
             ``module.Class.func``; nested defs get the enclosing
             function's qname as prefix).
         lineno / col: definition location (``ast`` conventions).
-        nested: defined inside another function (not picklable by
-            reference — pool submissions of these are RL010 fodder).
-        is_method: defined directly inside a class body.
         is_public: module-level, non-underscore name.
         decorators: dotted decorator names (``traced``, ``obs.traced``).
         calls: ``(dotted_name, lineno)`` per call whose callee is a
@@ -88,25 +70,16 @@ class FunctionFact:
         has_span: body opens a trace span — ``with span(...)`` /
             ``with tracing(...)`` / ``with <trace>.begin(...)`` — or the
             function is decorated ``@traced``.
-        global_writes: names both declared ``global`` and assigned in
-            the body.
-        engine_locals: local names bound to a live engine in this body
-            (assigned from ``SearchEngine(...)`` / ``engine_for(...)``,
-            or parameters annotated ``SearchEngine``).
     """
 
     name: str
     qname: str
     lineno: int
     col: int
-    nested: bool = False
-    is_method: bool = False
     is_public: bool = False
     decorators: List[str] = field(default_factory=list)
     calls: List[Tuple[str, int]] = field(default_factory=list)
     has_span: bool = False
-    global_writes: List[str] = field(default_factory=list)
-    engine_locals: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -126,78 +99,14 @@ class LoopFact:
 
 
 @dataclass
-class SubmissionFact:
-    """One pool-submission site: a callable shipped to worker processes.
-
-    Attributes:
-        lineno / col: the submission call.
-        kind: ``"task"`` (``pool.map(f, ...)`` family) or
-            ``"initializer"`` (``Pool(initializer=f, initargs=...)``).
-        callee_kind: ``"name"`` / ``"lambda"`` / ``"attribute"`` /
-            ``"other"`` — how the callable was spelled.
-        callee: the dotted text for ``name``/``attribute`` spellings.
-        arg_names: bare names appearing anywhere in the shipped
-            argument expressions (``initargs`` / the task iterable).
-        arg_engine_call: an engine constructor is called inline in the
-            shipped arguments.
-        in_function: qname of the enclosing function, if any.
-    """
-
-    lineno: int
-    col: int
-    kind: str
-    callee_kind: str
-    callee: str = ""
-    arg_names: List[str] = field(default_factory=list)
-    arg_engine_call: bool = False
-    in_function: Optional[str] = None
-
-
-@dataclass
 class FileFacts:
     """Everything the cross-module rules need to know about one file."""
 
     path: str
     module: str
     imports: List[Tuple[str, str]] = field(default_factory=list)
-    imports_pools: bool = False
     functions: List[FunctionFact] = field(default_factory=list)
-    classes: List[str] = field(default_factory=list)
     loops: List[LoopFact] = field(default_factory=list)
-    submissions: List[SubmissionFact] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-def facts_from_dict(data: Dict[str, Any]) -> FileFacts:
-    """Rebuild :class:`FileFacts` from ``as_dict`` output (cache load)."""
-    return FileFacts(
-        path=data["path"],
-        module=data["module"],
-        imports=[(str(a), str(b)) for a, b in data.get("imports", [])],
-        imports_pools=bool(data.get("imports_pools", False)),
-        functions=[
-            FunctionFact(
-                name=f["name"],
-                qname=f["qname"],
-                lineno=f["lineno"],
-                col=f["col"],
-                nested=f.get("nested", False),
-                is_method=f.get("is_method", False),
-                is_public=f.get("is_public", False),
-                decorators=list(f.get("decorators", [])),
-                calls=[(str(n), int(ln)) for n, ln in f.get("calls", [])],
-                has_span=f.get("has_span", False),
-                global_writes=list(f.get("global_writes", [])),
-                engine_locals=list(f.get("engine_locals", [])),
-            )
-            for f in data.get("functions", [])
-        ],
-        classes=list(data.get("classes", [])),
-        loops=[LoopFact(**loop) for loop in data.get("loops", [])],
-        submissions=[SubmissionFact(**sub) for sub in data.get("submissions", [])],
-    )
 
 
 def module_name_for(path: str) -> str:
@@ -246,13 +155,6 @@ def _is_span_context(expr: ast.expr) -> bool:
     return False
 
 
-def _is_engine_call(expr: ast.expr) -> bool:
-    if not isinstance(expr, ast.Call):
-        return False
-    dotted = _dotted(expr.func)
-    return dotted is not None and dotted.split(".")[-1] in ENGINE_CONSTRUCTORS
-
-
 class _FactsCollector(ast.NodeVisitor):
     """Single-pass extractor feeding one :class:`FileFacts`."""
 
@@ -279,8 +181,6 @@ class _FactsCollector(ast.NodeVisitor):
             local = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             self.facts.imports.append((local, target))
-            if alias.name.split(".")[0] in ("multiprocessing", "concurrent"):
-                self.facts.imports_pools = True
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -291,8 +191,6 @@ class _FactsCollector(ast.NodeVisitor):
             local = alias.asname or alias.name
             target = f"{base}.{alias.name}" if base else alias.name
             self.facts.imports.append((local, target))
-        if base and base.split(".")[0] in ("multiprocessing", "concurrent"):
-            self.facts.imports_pools = True
         self.generic_visit(node)
 
     def _resolve_import_base(self, node: ast.ImportFrom) -> str:
@@ -310,16 +208,13 @@ class _FactsCollector(ast.NodeVisitor):
     # -- definitions ---------------------------------------------------
 
     def _visit_function(self, node: ast.AST, name: str) -> None:
-        enclosing = self._current_function()
         fact = FunctionFact(
             name=name,
             qname=self._qname(name),
             lineno=node.lineno,  # type: ignore[attr-defined]
             col=node.col_offset,  # type: ignore[attr-defined]
-            nested=enclosing is not None,
-            is_method=self._class_depth > 0 and enclosing is None,
             is_public=(
-                enclosing is None
+                self._current_function() is None
                 and self._class_depth == 0
                 and not name.startswith("_")
             ),
@@ -334,12 +229,6 @@ class _FactsCollector(ast.NodeVisitor):
         )
         if any(d.split(".")[-1] in _TRACED_NAMES for d in fact.decorators):
             fact.has_span = True
-        for arg in _all_args(node):
-            annotation = getattr(arg, "annotation", None)
-            if annotation is not None:
-                dotted = _dotted(annotation)
-                if dotted and dotted.split(".")[-1] == "SearchEngine":
-                    fact.engine_locals.append(arg.arg)
         self.facts.functions.append(fact)
         self._function_stack.append(fact)
         self._scope.append(name)
@@ -356,41 +245,13 @@ class _FactsCollector(ast.NodeVisitor):
         self._visit_function(node, node.name)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._class_depth == 0 and not self._function_stack:
-            self.facts.classes.append(node.name)
         self._scope.append(node.name)
         self._class_depth += 1
         self.generic_visit(node)
         self._class_depth -= 1
         self._scope.pop()
 
-    def visit_Global(self, node: ast.Global) -> None:
-        fact = self._current_function()
-        if fact is not None:
-            for name in node.names:
-                if name not in fact.global_writes:
-                    fact.global_writes.append(name)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._record_engine_binding(node.targets, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._record_engine_binding([node.target], node.value)
-        self.generic_visit(node)
-
-    def _record_engine_binding(
-        self, targets: Iterable[ast.expr], value: ast.expr
-    ) -> None:
-        fact = self._current_function()
-        if fact is None or not _is_engine_call(value):
-            return
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id not in fact.engine_locals:
-                fact.engine_locals.append(target.id)
-
-    # -- spans, calls, submissions ------------------------------------
+    # -- spans and calls ---------------------------------------------
 
     def visit_With(self, node: ast.With) -> None:
         fact = self._current_function()
@@ -407,42 +268,7 @@ class _FactsCollector(ast.NodeVisitor):
         dotted = _dotted(node.func)
         if fact is not None and dotted is not None:
             fact.calls.append((dotted, node.lineno))
-        self._maybe_record_submission(node, dotted)
         self.generic_visit(node)
-
-    def _maybe_record_submission(
-        self, node: ast.Call, dotted: Optional[str]
-    ) -> None:
-        fact = self._current_function()
-        in_function = fact.qname if fact is not None else None
-        # pool.map(func, iterable) and friends.
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in POOL_TASK_METHODS
-            and node.args
-        ):
-            self.facts.submissions.append(
-                _submission(
-                    node, node.args[0], node.args[1:], "task",
-                    in_function=in_function,
-                )
-            )
-        # SomethingPool(..., initializer=f, initargs=(...)).
-        if dotted is not None and dotted.split(".")[-1].endswith("Pool"):
-            initializer = None
-            initargs: List[ast.expr] = []
-            for keyword in node.keywords:
-                if keyword.arg == "initializer":
-                    initializer = keyword.value
-                elif keyword.arg == "initargs":
-                    initargs.append(keyword.value)
-            if initializer is not None:
-                self.facts.submissions.append(
-                    _submission(
-                        node, initializer, initargs, "initializer",
-                        in_function=in_function,
-                    )
-                )
 
     # -- loops ---------------------------------------------------------
 
@@ -485,19 +311,6 @@ class _FactsCollector(ast.NodeVisitor):
         self._visit_loop(node, "while", [node.test])
 
 
-def _all_args(node: ast.AST) -> List[ast.arg]:
-    args = getattr(node, "args", None)
-    if args is None:
-        return []
-    return [
-        *getattr(args, "posonlyargs", []),
-        *args.args,
-        *args.kwonlyargs,
-        *([args.vararg] if args.vararg else []),
-        *([args.kwarg] if args.kwarg else []),
-    ]
-
-
 def _csr_touches(node: ast.AST) -> set:
     """CSR-view / adjacency-dict attribute names read under ``node``."""
     touches = set()
@@ -507,42 +320,6 @@ def _csr_touches(node: ast.AST) -> set:
         elif isinstance(child, ast.Name) and child.id in CSR_VIEW_ATTRS:
             touches.add(child.id)
     return touches
-
-
-def _submission(
-    call: ast.Call,
-    callee: ast.expr,
-    shipped_args: List[ast.expr],
-    kind: str,
-    *,
-    in_function: Optional[str],
-) -> SubmissionFact:
-    if isinstance(callee, ast.Lambda):
-        callee_kind, callee_text = "lambda", ""
-    elif isinstance(callee, ast.Name):
-        callee_kind, callee_text = "name", callee.id
-    elif isinstance(callee, ast.Attribute):
-        callee_kind, callee_text = "attribute", _dotted(callee) or callee.attr
-    else:
-        callee_kind, callee_text = "other", ""
-    arg_names: List[str] = []
-    arg_engine_call = False
-    for expr in shipped_args:
-        for child in ast.walk(expr):
-            if isinstance(child, ast.Name) and child.id not in arg_names:
-                arg_names.append(child.id)
-            if _is_engine_call(child):
-                arg_engine_call = True
-    return SubmissionFact(
-        lineno=call.lineno,
-        col=call.col_offset,
-        kind=kind,
-        callee_kind=callee_kind,
-        callee=callee_text,
-        arg_names=arg_names,
-        arg_engine_call=arg_engine_call,
-        in_function=in_function,
-    )
 
 
 def extract_facts(path: str, tree: ast.Module, module: Optional[str] = None) -> FileFacts:
@@ -563,30 +340,17 @@ class ProjectModel:
     def __init__(self, facts: Iterable[FileFacts]) -> None:
         self.modules: Dict[str, FileFacts] = {}
         self.functions: Dict[str, FunctionFact] = {}
-        self.path_of: Dict[str, str] = {}
         for file_facts in facts:
             self.modules[file_facts.module] = file_facts
-            self.path_of[file_facts.module] = file_facts.path
             for fact in file_facts.functions:
                 self.functions[fact.qname] = fact
 
-    def resolve(
-        self, module: str, dotted: str, scope: Optional[str] = None
-    ) -> Optional[str]:
+    def resolve(self, module: str, dotted: str) -> Optional[str]:
         """Resolve a dotted reference in ``module``'s scope to a known
-        function qname, or ``None`` when it cannot be traced statically.
-
-        ``scope`` is the qname of the enclosing function, if any: a bare
-        name used inside a function may refer to a def nested in it, and
-        the innermost binding wins over the module-level one.
-        """
+        function qname, or ``None`` when it cannot be traced statically."""
         facts = self.modules.get(module)
         if facts is None:
             return None
-        if scope is not None:
-            nested = f"{scope}.{dotted}"
-            if nested in self.functions:
-                return nested
         parts = dotted.split(".")
         import_map = dict(facts.imports)
         head = parts[0]
@@ -597,19 +361,3 @@ class ProjectModel:
         if candidate in self.functions:
             return candidate
         return None
-
-    def module_of(self, qname: str) -> Optional[str]:
-        """The module a known function qname belongs to."""
-        if qname not in self.functions:
-            return None
-        parts = qname.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            module = ".".join(parts[:cut])
-            if module in self.modules:
-                return module
-        return None
-
-
-def build_model(facts: Iterable[FileFacts]) -> ProjectModel:
-    """Convenience constructor (mirrors ``CallGraph`` in callgraph.py)."""
-    return ProjectModel(facts)

@@ -131,7 +131,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     if not (
         len(rule_id) == 5 and rule_id.startswith("RL") and rule_id[2:].isdigit()
     ):
-        raise ValueError(f"rule id {rule_id!r} must look like 'RL004'")
+        raise ValueError(f"rule id {rule_id!r} must look like 'RL007'")
     if rule_id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule_id}")
     _REGISTRY[rule_id] = cls

@@ -7,13 +7,10 @@ decorated with :func:`repro.lint.registry.register`).
 from . import (  # noqa: F401
     rl002_cache_invalidation,
     rl003_determinism,
-    rl004_float_equality,
     rl005_mutable_defaults,
-    rl006_wall_clock,
     rl007_float_typed_equality,
-    rl008_raw_perf_counter,
+    rl008_raw_clock,
     rl009_kernel_confinement,
-    rl010_worker_shipment,
     rl011_span_coverage,
     rl012_hot_loop,
 )

@@ -1,41 +1,42 @@
-"""RL007 — no exact equality between float-*typed* expressions.
+"""RL007 — no exact equality between float-typed expressions.
 
-RL004 catches ``x == 0.0`` (a float literal on either side), but the
-bug class it guards against also appears with no literal in sight:
-``ratio == best[0]`` where both sides are ``float`` compares quantities
-that reached their values through different summation orders, so the
-"equal" branch silently depends on ulp-level drift (this exact bug hid
-the deterministic tie-break in the selection loop).
+Costs, utilities, and walk distances in this codebase are sums of many
+float edge weights; ``x == 0.0`` style guards work until a refactor
+changes summation order by one ulp.  The same bug class appears with no
+literal in sight: ``ratio == best[0]`` where both sides are ``float``
+compares quantities that reached their values through different
+summation orders, so the "equal" branch silently depends on ulp-level
+drift (this exact bug hid the deterministic tie-break in the selection
+loop).
 
 Full type inference is mypy's job; this rule runs a deliberately small,
-high-precision inference over each scope and only reports when it is
-*sure* an operand is a float:
+high-precision inference over each scope (module, class, and function
+bodies) and only reports when it is *sure* an operand is a float:
 
 * names annotated ``float`` (parameters or ``x: float = ...``);
 * names assigned from an expression that must be a float: a float
   literal, a ``float(...)`` call, a true division (``/`` always yields
   a float on numbers), or another float-typed name;
-* the expressions above used inline as a comparison operand.
+* the expressions above used inline as a comparison operand — a float
+  literal on either side (``cost == 0.0``, ``-1.5 != u``) included.
 
-Comparisons involving a float *literal* are RL004's domain and are not
-re-reported here.  Use :func:`math.isclose` or the shared helpers in
-:mod:`repro.core.numeric` (``close``, ``is_zero``) instead.
+Decorators, default arguments, and class bases are checked in the scope
+that evaluates them.  Integer-literal comparisons are not flagged
+(``count == 0`` is exact).  Use :func:`math.isclose` or the shared
+helpers in :mod:`repro.core.numeric` (``close``, ``is_zero``) instead.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import Iterator, List, Set, Union
 
 from ..registry import Rule, register
 
 _FLOAT_CALLS = {"float"}
 
-
-def _is_float_literal(node: ast.AST) -> bool:
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        node = node.operand
-    return isinstance(node, ast.Constant) and type(node.value) is float
+_Scope = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_float_annotation(annotation: ast.AST) -> bool:
@@ -93,8 +94,8 @@ def _expression_is_float(node: ast.AST, float_names: Set[str]) -> bool:
     """Whether ``node`` must evaluate to a float (conservative)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         return _expression_is_float(node.operand, float_names)
-    if _is_float_literal(node):
-        return True
+    if isinstance(node, ast.Constant):
+        return type(node.value) is float
     if isinstance(node, ast.Name):
         return node.id in float_names
     if isinstance(node, ast.Call):
@@ -116,15 +117,17 @@ class FloatTypedEqualityRule(Rule):
     rule_id = "RL007"
     title = "float-typed-equality"
     rationale = (
-        "exact ==/!= between float-typed expressions (no literal in "
-        "sight) hides tie-breaks and guards behind ulp-level drift; use "
-        "math.isclose or repro.core.numeric (close / is_zero)"
+        "exact ==/!= between float-typed expressions (float literals "
+        "included) hides tie-breaks and guards behind ulp-level drift; "
+        "use math.isclose or repro.core.numeric (close / is_zero)"
     )
 
     def run(self) -> None:
         self._check_scope(self.context.tree.body, set())
         for scope in ast.walk(self.context.tree):
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(scope, ast.ClassDef):
+                self._check_scope(scope.body, set())
+            elif isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 float_args = {
                     arg.arg
                     for arg in _all_args(scope.args)
@@ -137,12 +140,9 @@ class FloatTypedEqualityRule(Rule):
         inference = _ScopeInference()
         inference.float_names |= seed
         float_names = inference.collect(body)
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # nested scopes get their own pass
-            for node in _walk_scope(stmt):
-                if isinstance(node, ast.Compare):
-                    self._check_compare(node, float_names)
+        for node in _walk_scope(body):
+            if isinstance(node, ast.Compare):
+                self._check_compare(node, float_names)
 
     def _check_compare(self, node: ast.Compare, float_names: Set[str]) -> None:
         operands = [node.left] + list(node.comparators)
@@ -150,8 +150,6 @@ class FloatTypedEqualityRule(Rule):
             if not isinstance(op, (ast.Eq, ast.NotEq)):
                 continue
             left, right = operands[i], operands[i + 1]
-            if _is_float_literal(left) or _is_float_literal(right):
-                continue  # RL004's domain
             if _expression_is_float(left, float_names) or _expression_is_float(
                 right, float_names
             ):
@@ -172,18 +170,25 @@ def _all_args(args: ast.arguments) -> List[ast.arg]:
     return collected
 
 
-def _walk_scope(stmt: ast.stmt) -> List[ast.AST]:
-    """All nodes under ``stmt`` without descending into nested
-    function/class scopes (those get their own inference pass)."""
-    found: List[ast.AST] = []
-    stack: List[ast.AST] = [stmt]
+def _outer_parts(scope: _Scope) -> List[ast.expr]:
+    """The parts of a def or class the *enclosing* scope evaluates:
+    decorators, plus default arguments or class bases/keywords."""
+    parts = list(scope.decorator_list)
+    if isinstance(scope, ast.ClassDef):
+        return parts + scope.bases + [kw.value for kw in scope.keywords]
+    defaults = [d for d in scope.args.kw_defaults if d is not None]
+    return parts + scope.args.defaults + defaults
+
+
+def _walk_scope(body: List[ast.stmt]) -> Iterator[ast.AST]:
+    """All nodes one scope evaluates: nested function/class bodies are
+    skipped (they get their own inference pass), their decorators,
+    defaults, and bases are not."""
+    stack: List[ast.AST] = list(body)
     while stack:
         node = stack.pop()
-        found.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            stack.append(child)
-    return found
+        if isinstance(node, _SCOPES):
+            stack.extend(_outer_parts(node))
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))

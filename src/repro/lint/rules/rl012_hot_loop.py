@@ -15,9 +15,9 @@ nest whose header or body reads one of those attributes, in any module
 outside the kernels package.  The sanctioned substrate (``engine.py``,
 ``csr.py``, ``graph.py``) is excluded by path in
 ``[tool.reprolint.rule-excludes]``; the one known pre-existing hot loop
-(``transit/journey.py``) carries an inline suppression counted by the
-baseline ratchet — such suppressions may only disappear, never
-multiply.
+(``transit/journey.py``) carries an inline suppression; the test suite
+pins the per-rule suppression counts, so such suppressions may only
+disappear, never multiply.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ examples are not parsed as live directives by the line scanner):
 
 * line — ``x = risky()  # reprolint : disable=RL003`` silences the
   named rules for violations reported *on that line*;
-* file — a standalone ``# reprolint : disable-file=RL004`` comment
+* file — a standalone ``# reprolint : disable-file=RL007`` comment
   anywhere in the file (conventionally at the top) silences the named
   rules for the whole file.
 
@@ -35,7 +35,7 @@ class Directive:
     """One rule id named by one suppression comment.
 
     A comment naming two rules yields two directives — the unit the
-    unused-suppression check and the baseline ratchet count.
+    unused-suppression check and the per-rule suppression counts use.
     """
 
     lineno: int
@@ -52,7 +52,7 @@ class SuppressionTable:
         by_line: rule ids silenced per 1-based line number.
         whole_file: rule ids silenced for every line.
         directives: every individual (line, rule) suppression, for the
-            unused-suppression check and the ratchet's counts.
+            unused-suppression check and the per-rule counts.
         problems: violations about the suppressions themselves
             (unknown rule ids).
     """

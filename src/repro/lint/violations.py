@@ -19,7 +19,7 @@ class Violation:
         path: the file the violation is in, as given to the analyzer.
         line / column: 1-based line and 0-based column of the offending
             node (``ast`` conventions).
-        rule_id: the rule that fired, e.g. ``"RL004"``.
+        rule_id: the rule that fired, e.g. ``"RL007"``.
         message: a human-readable explanation with the fix direction.
     """
 

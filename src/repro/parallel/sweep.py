@@ -192,7 +192,7 @@ def _record_sweep_runs(
     timings, and the worker search stats folded into ``search.*`` keys.
 
     Recording happens in the parent after the pool has drained — the
-    store handle is never shipped to workers (RL010), and a sweep whose
+    store handle is never shipped to workers, and a sweep whose
     environment opts out (``$REPRO_STORE`` unset, no explicit store)
     costs nothing.
     """

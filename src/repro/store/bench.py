@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from .db import RunStore
 
@@ -42,9 +42,6 @@ def headline(payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
 
     * a ``largest`` tier with a ``speedup`` (the kernel/preprocess
       ladder benches);
-    * per-worker results — ``workers.{n}.speedup`` dicts
-      (``BENCH_parallel``): the headline is the best worker's speedup,
-      with the worker count carried alongside;
     * a flat ``speedup`` / ``*overhead_pct`` scalar.
 
     Anything unrecognised gets no headline (and the gates table will
@@ -53,27 +50,6 @@ def headline(payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     largest = payload.get("largest")
     if isinstance(largest, dict) and "speedup" in largest:
         return {"metric": "speedup", "value": largest["speedup"]}
-    workers = payload.get("workers")
-    if isinstance(workers, dict):
-        best: Optional[Tuple[float, int]] = None
-        for key, entry in workers.items():
-            if not isinstance(entry, dict):
-                continue
-            speedup = entry.get("speedup")
-            try:
-                n = int(key)
-            except (TypeError, ValueError):
-                continue
-            if isinstance(speedup, (int, float)) and (
-                best is None or (speedup, n) > best
-            ):
-                best = (float(speedup), n)
-        if best is not None:
-            return {
-                "metric": "best_worker_speedup",
-                "value": best[0],
-                "workers": best[1],
-            }
     for key in ("speedup", "disabled_overhead_pct", "overhead_pct"):
         if isinstance(payload.get(key), (int, float)):
             return {"metric": key, "value": payload[key]}
@@ -138,25 +114,18 @@ def _gate_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     """One trajectory ``gates`` entry from a normalized series row."""
     out: Dict[str, Any] = {"bench": row["bench"], "gate": row["gate"]}
     if row["headline_metric"] is not None:
-        headline_row: Dict[str, Any] = {
+        out["headline"] = {
             "metric": row["headline_metric"],
             "value": row["headline_value"],
         }
-        # best_worker_speedup carries the winning worker count so a
-        # reader knows which pool size produced the number.
-        payload_head = headline(row["payload"])
-        if payload_head and "workers" in payload_head:
-            headline_row["workers"] = payload_head["workers"]
-        out["headline"] = headline_row
     if row["cpu_limited"]:
         out["cpu_limited"] = True
     return out
 
 
 def gate_rows(store: RunStore, *, include_absent: bool = True) -> List[Dict[str, Any]]:
-    """The normalized gates view with payload-derived extras (the
-    best-worker count) folded into each headline — the row shape shared
-    by ``repro query gates`` and the trajectory's ``gates`` table.
+    """The normalized gates view — the row shape shared by ``repro
+    query gates`` and the trajectory's ``gates`` table.
 
     Benches that declare no gate show up as ``absent`` (the gates table
     is also the completeness check) unless ``include_absent`` is off,

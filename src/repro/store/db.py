@@ -142,8 +142,8 @@ def current_git_rev(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
 
 
 def _utc_now() -> str:
-    """ISO-8601 UTC wall timestamp for labelling rows (not a duration —
-    RL006 concerns do not apply to labels)."""
+    """ISO-8601 UTC wall timestamp for labelling rows (not a duration,
+    so the clock concerns of RL008 do not apply to labels)."""
     return (
         datetime.datetime.now(datetime.timezone.utc)
         .replace(microsecond=0)

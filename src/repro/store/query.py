@@ -88,8 +88,6 @@ def _flatten_gate(row: Dict[str, Any]) -> Dict[str, Any]:
     if isinstance(headline, dict):
         out["metric"] = headline.get("metric")
         out["value"] = headline.get("value")
-        if "workers" in headline:
-            out["workers"] = headline["workers"]
     out["cpu_limited"] = bool(row.get("cpu_limited"))
     return out
 
@@ -100,7 +98,7 @@ _COLUMNS = {
     "metrics": ("run_id", "kind", "name", "dataset", "metric", "value"),
     "benches": ("id", "imported_at", "bench", "gate", "headline_metric",
                 "headline_value", "cpu_limited"),
-    "gates": ("bench", "gate", "metric", "value", "workers", "cpu_limited"),
+    "gates": ("bench", "gate", "metric", "value", "cpu_limited"),
     "traces": ("id", "created_at", "run_id", "kind", "path"),
 }
 

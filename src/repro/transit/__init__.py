@@ -2,22 +2,13 @@
 feed builder, GTFS-like persistence, and the multimodal journey planner.
 """
 
-from .analysis import (
-    TransitSummary,
-    demand_coverage,
-    route_overlap_matrix,
-    summarize_transit,
-    transfer_degree_histogram,
-)
 from .builder import build_transit_network, place_stops_along_path
-from .frequency import FrequencyPlan, estimate_boardings, set_frequency
 from .gtfs import load_transit, save_transit
 from .gtfs_real import GtfsImportReport, load_gtfs_feed
 from .journey import Itinerary, JourneyLeg, JourneyPlanner, travel_cost_decrease
 from .network import TransitNetwork
 from .route import BusRoute
 from .stop import BusStop
-from .validation import Finding, ValidationReport, validate_feed
 
 __all__ = [
     "BusStop",
@@ -26,17 +17,6 @@ __all__ = [
     "build_transit_network",
     "place_stops_along_path",
     "save_transit",
-    "FrequencyPlan",
-    "set_frequency",
-    "estimate_boardings",
-    "TransitSummary",
-    "summarize_transit",
-    "transfer_degree_histogram",
-    "route_overlap_matrix",
-    "demand_coverage",
-    "validate_feed",
-    "ValidationReport",
-    "Finding",
     "load_transit",
     "load_gtfs_feed",
     "GtfsImportReport",

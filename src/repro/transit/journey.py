@@ -242,11 +242,11 @@ class JourneyPlanner:
             if u == destination:
                 break
             if u < offset:
-                # Known pre-ratchet hot loop (ROADMAP item 2): the walk
-                # layer relaxes CSR slices in Python because the journey
-                # graph interleaves board/alight edges; pending a
-                # multimodal kernel primitive.  Counted by
-                # lint-baseline.json — may only shrink.
+                # Known hot loop (ROADMAP item 2): the walk layer
+                # relaxes CSR slices in Python because the journey graph
+                # interleaves board/alight edges; pending a multimodal
+                # kernel primitive.  The suppression count is pinned by
+                # tests/lint/test_analyzer.py — it may only shrink.
                 for i in range(indptr[u], indptr[u + 1]):  # reprolint: disable=RL012
                     _relax(u, targets[i], d + costs[i] * self._walk_min_per_km)
                 # board edges

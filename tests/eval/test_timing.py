@@ -2,7 +2,7 @@
 
 import time
 
-from repro.eval.timing import stopwatch, timed
+from repro.obs import stopwatch, timed
 
 
 class TestStopwatch:

@@ -20,7 +20,9 @@ from repro import (
     TransitError,
     plan_route,
 )
+from repro.datasets import load_city
 from repro.demand.query import QuerySet
+from repro.eval.experiments import calibrated_alpha
 from repro.network.graph import RoadNetwork
 from repro.transit.network import TransitNetwork
 from repro.transit.route import BusRoute
@@ -175,9 +177,19 @@ class TestExtremeParameters:
             EBRRConfig(max_stops=3, max_adjacent_cost=bad, alpha=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
-    def test_non_finite_or_non_positive_alpha_rejected(self, bad):
+    def test_non_finite_or_non_positive_alpha_rejected(
+        self, bad, toy_transit, toy_queries
+    ):
+        """α = NaN used to pass BRRInstance (``alpha <= 0`` is False for
+        NaN) and plan a route with utility NaN, since plan_route's
+        agreement guard is False for NaN too; α = inf failed later with
+        InfeasibleRouteError.  calibrated_alpha's balance took both."""
         with pytest.raises(ConfigurationError, match="alpha"):
             EBRRConfig(max_stops=3, max_adjacent_cost=4.0, alpha=bad)
+        with pytest.raises(ConfigurationError, match="alpha"):
+            BRRInstance(toy_transit, toy_queries, alpha=bad)
+        with pytest.raises(ConfigurationError, match="balance"):
+            calibrated_alpha(load_city("orlando", scale=0.05), balance=bad)
 
 
 class TestDisconnectedInputs:

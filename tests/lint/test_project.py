@@ -1,17 +1,12 @@
 """The facts pass, the project model, and the call graph — the
-substrate the cross-module rules (RL010–RL012) query."""
+substrate the cross-module rules (RL011, RL012) query."""
 
 import ast
 import textwrap
 
 from repro.lint import module_name_for
 from repro.lint.callgraph import CallGraph
-from repro.lint.project import (
-    ProjectModel,
-    extract_facts,
-    facts_from_dict,
-    loop_signal,
-)
+from repro.lint.project import ProjectModel, extract_facts, loop_signal
 
 
 def facts(source, path="src/repro/mod.py"):
@@ -42,11 +37,11 @@ def test_module_name_for_falls_back_to_stem():
 
 
 # ----------------------------------------------------------------------
-# Facts: imports, functions, spans, engines, globals
+# Facts: imports, functions, spans
 # ----------------------------------------------------------------------
 
 
-def test_imports_and_pool_detection():
+def test_imports_recorded():
     collected = facts(
         """
         import multiprocessing
@@ -55,7 +50,6 @@ def test_imports_and_pool_detection():
     )
     assert ("multiprocessing", "multiprocessing") in collected.imports
     assert ("plan", "repro.core.ebrr.plan_route") in collected.imports
-    assert collected.imports_pools
 
 
 def test_relative_imports_resolve_against_the_module():
@@ -83,14 +77,10 @@ def test_function_facts_shape():
         """
     )
     by_name = {f.qname: f for f in collected.functions}
-    top = by_name["repro.mod.plan_stuff"]
-    assert top.is_public and not top.nested and not top.is_method
-    inner = by_name["repro.mod.plan_stuff.inner"]
-    assert inner.nested and not inner.is_public
+    assert by_name["repro.mod.plan_stuff"].is_public
+    assert not by_name["repro.mod.plan_stuff.inner"].is_public
     assert not by_name["repro.mod._private"].is_public
-    method = by_name["repro.mod.Planner.method"]
-    assert method.is_method and not method.is_public
-    assert collected.classes == ["Planner"]
+    assert not by_name["repro.mod.Planner.method"].is_public
 
 
 def test_span_detection_with_and_decorator_and_begin():
@@ -123,44 +113,6 @@ def test_span_detection_with_and_decorator_and_begin():
     }
 
 
-def test_engine_locals_from_constructor_and_annotation():
-    collected = facts(
-        """
-        from repro.network.engine import SearchEngine, engine_for
-
-        def builds(network):
-            engine = SearchEngine(network)
-            shared = engine_for(network)
-            other = len(network)
-            return engine, shared, other
-
-        def annotated(engine: SearchEngine):
-            return engine
-        """
-    )
-    by_name = {f.name: f for f in collected.functions}
-    assert sorted(by_name["builds"].engine_locals) == ["engine", "shared"]
-    assert by_name["annotated"].engine_locals == ["engine"]
-
-
-def test_global_writes_recorded():
-    collected = facts(
-        """
-        _STATE = None
-
-        def installer(value):
-            global _STATE
-            _STATE = value
-
-        def reader():
-            return _STATE
-        """
-    )
-    by_name = {f.name: f for f in collected.functions}
-    assert by_name["installer"].global_writes == ["_STATE"]
-    assert by_name["reader"].global_writes == []
-
-
 def test_calls_record_dotted_names():
     collected = facts(
         """
@@ -175,7 +127,7 @@ def test_calls_record_dotted_names():
 
 
 # ----------------------------------------------------------------------
-# Facts: loops and submissions
+# Facts: loops
 # ----------------------------------------------------------------------
 
 
@@ -216,45 +168,6 @@ def test_loop_without_csr_touches_not_recorded():
     assert collected.loops == []
 
 
-def test_submissions_task_and_initializer():
-    collected = facts(
-        """
-        import multiprocessing
-
-        def fan(network, chunks):
-            with multiprocessing.Pool(
-                processes=4, initializer=_init, initargs=(network,)
-            ) as pool:
-                return pool.map(_task, chunks)
-        """
-    )
-    kinds = sorted((s.kind, s.callee_kind, s.callee) for s in collected.submissions)
-    assert kinds == [
-        ("initializer", "name", "_init"),
-        ("task", "name", "_task"),
-    ]
-    task = next(s for s in collected.submissions if s.kind == "task")
-    assert task.in_function == "repro.mod.fan"
-    assert "chunks" in task.arg_names
-
-
-def test_facts_round_trip_through_dict():
-    collected = facts(
-        """
-        import multiprocessing
-        from repro.network.engine import SearchEngine
-
-        def fan(network, chunks, engine: SearchEngine):
-            global _X
-            _X = 1
-            with multiprocessing.Pool(initializer=_init, initargs=(engine,)) as p:
-                for i in range(network.indptr[0], network.indptr[1]):
-                    p.map(_task, chunks)
-        """
-    )
-    assert facts_from_dict(collected.as_dict()) == collected
-
-
 # ----------------------------------------------------------------------
 # Model resolution and the call graph
 # ----------------------------------------------------------------------
@@ -290,7 +203,6 @@ def test_resolve_through_imports_and_locals():
         model.resolve("repro.core.phase", "helper") == "repro.core.phase.helper"
     )
     assert model.resolve("repro.core.driver", "np.zeros") is None
-    assert model.module_of("repro.core.phase.helper") == "repro.core.phase"
 
 
 def test_callgraph_edges_and_reachability():
@@ -299,8 +211,8 @@ def test_callgraph_edges_and_reachability():
     assert graph.callees("repro.core.driver.plan_all") == [
         "repro.core.phase.run_phase"
     ]
-    assert graph.callers("repro.core.phase.helper") == [
-        "repro.core.phase.run_phase"
+    assert graph.callees("repro.core.phase.run_phase") == [
+        "repro.core.phase.helper"
     ]
     reached = graph.reachable_from(["repro.core.driver.plan_all"])
     assert "repro.core.phase.helper" in reached

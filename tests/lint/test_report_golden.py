@@ -29,22 +29,22 @@ def reference_violations():
             path="src/repro/core/ebrr.py",
             line=42,
             column=8,
-            rule_id="RL004",
+            rule_id="RL007",
             message="exact float equality on a path cost",
         ),
         Violation(
-            path="src/repro/parallel/fanout.py",
+            path="src/repro/parallel/sweep.py",
             line=7,
             column=0,
-            rule_id="RL010",
-            message="pool task is a lambda; 100% sure it will not pickle\nunder spawn",
+            rule_id="RL011",
+            message="phase entry point 'sweep_grid' has no span; 100% of it\nis untraced",
         ),
         Violation(
-            path="src/repro/parallel/fanout.py",
+            path="src/repro/parallel/sweep.py",
             line=19,
             column=4,
-            rule_id="RL010",
-            message="pool arguments ship live SearchEngine value(s) engine",
+            rule_id="RL011",
+            message="phase entry point 'run_grid' neither opens an obs span nor calls anything that does",
         ),
         Violation(
             path="src/repro/transit/journey.py",
@@ -74,14 +74,14 @@ class TestContracts:
     def test_json_is_parseable_and_counts_agree(self):
         payload = json.loads(render_json(reference_violations()))
         assert payload["count"] == 4
-        assert payload["by_rule"] == {"RL004": 1, "RL010": 2, "RL012": 1}
+        assert payload["by_rule"] == {"RL007": 1, "RL011": 2, "RL012": 1}
         assert [v["line"] for v in payload["violations"]] == [42, 7, 19, 250]
 
     def test_github_escapes_workflow_command_characters(self):
         out = render_github(reference_violations())
         assert "%25" in out       # literal % escaped
         assert "%0A" in out       # newline escaped
-        assert "\nunder spawn" not in out
+        assert "\nis untraced" not in out
 
     def test_github_columns_are_one_indexed(self):
         out = render_github(reference_violations()[:1])
@@ -90,7 +90,7 @@ class TestContracts:
     def test_text_tally_footer(self):
         out = render_text(reference_violations())
         assert out.splitlines()[-1] == (
-            "reprolint: 4 violation(s) (RL004×1, RL010×2, RL012×1)"
+            "reprolint: 4 violation(s) (RL007×1, RL011×2, RL012×1)"
         )
 
 

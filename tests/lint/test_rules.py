@@ -110,32 +110,6 @@ def test_rl003_silent_on_set_membership():
 
 
 # ----------------------------------------------------------------------
-# RL004 — float equality
-# ----------------------------------------------------------------------
-
-
-def test_rl004_fires_on_float_literal_comparison():
-    assert rule_ids("ok = cost == 0.0\n") == ["RL004"]
-    assert rule_ids("bad = 1.5 != utility\n") == ["RL004"]
-    assert rule_ids("neg = walk == -0.0\n") == ["RL004"]
-
-
-def test_rl004_silent_on_tolerant_and_integer_compares():
-    snippet = """
-        import math
-        from repro.core.numeric import is_zero
-
-        def guard(cost, count):
-            return is_zero(cost) or math.isclose(cost, 1.0) or count == 0
-    """
-    assert rule_ids(snippet) == []
-
-
-def test_rl004_silent_on_ordering_compares():
-    assert rule_ids("better = cost < 0.5 or cost >= 1.0\n") == []
-
-
-# ----------------------------------------------------------------------
 # RL005 — mutable default arguments
 # ----------------------------------------------------------------------
 
@@ -167,43 +141,50 @@ def test_rl005_silent_on_none_default():
 
 
 # ----------------------------------------------------------------------
-# RL006 — wall-clock timing
+# RL007 — float-typed equality (float literals included)
 # ----------------------------------------------------------------------
 
 
-def test_rl006_fires_on_time_time():
+def test_rl007_fires_on_float_literal_comparison():
+    assert rule_ids("ok = cost == 0.0\n") == ["RL007"]
+    assert rule_ids("bad = 1.5 != utility\n") == ["RL007"]
+    assert rule_ids("neg = walk == -0.0\n") == ["RL007"]
+
+
+def test_rl007_silent_on_tolerant_and_integer_compares():
     snippet = """
-        import time
+        import math
+        from repro.core.numeric import is_zero
 
-        def run(f):
-            start = time.time()
-            f()
-            return time.time() - start
+        def guard(cost, count):
+            return is_zero(cost) or math.isclose(cost, 1.0) or count == 0
     """
-    assert rule_ids(snippet) == ["RL006", "RL006"]
+    assert rule_ids(snippet) == []
 
 
-def test_rl006_fires_on_from_time_import_time():
-    assert rule_ids("from time import time\n") == ["RL006"]
+def test_rl007_silent_on_ordering_compares():
+    assert rule_ids("better = cost < 0.5 or cost >= 1.0\n") == []
 
 
-def test_rl006_silent_on_perf_counter():
-    # Raw perf_counter is RL008's report, not RL006's.
+def test_rl007_fires_in_class_bodies_decorators_and_defaults():
+    # Scopes the module/function passes alone would miss: a class body,
+    # a decorator argument, and a default value (both evaluated by the
+    # enclosing scope), a class keyword, and a lambda's default.
     snippet = """
-        import time
-        from time import perf_counter
+        class Limits:
+            UNIT: float = 1.0
+            exact = UNIT == 1.0
 
-        def run(f):
-            start = time.perf_counter()
-            f()
-            return perf_counter() - start
+        @register(strict=cost == 0.0)
+        def plan(flag=cost != 1.5, *, other=-0.5 == cost):
+            pass
+
+        class Tuned(Base, exact=cost == 2.0):
+            pass
+
+        pick = lambda x=cost == 0.5: x
     """
-    assert rule_ids(snippet, select=["RL006"]) == []
-
-
-# ----------------------------------------------------------------------
-# RL007 — float-typed equality (no literal in sight)
-# ----------------------------------------------------------------------
+    assert rule_ids(snippet) == ["RL007"] * 6
 
 
 def test_rl007_fires_on_float_annotated_params():
@@ -241,12 +222,6 @@ def test_rl007_silent_on_integer_compares():
     assert rule_ids(snippet) == []
 
 
-def test_rl007_leaves_float_literals_to_rl004():
-    # A float literal operand is RL004's report; RL007 must not
-    # double-report the same comparison.
-    assert rule_ids("bad = cost == 0.0\n") == ["RL004"]
-
-
 def test_rl007_silent_on_tolerant_compares():
     snippet = """
         import math
@@ -274,8 +249,24 @@ def test_rl007_scopes_are_independent():
 
 
 # ----------------------------------------------------------------------
-# RL008 — raw perf_counter outside repro.obs
+# RL008 — raw clock reads outside repro.obs
 # ----------------------------------------------------------------------
+
+
+def test_rl008_fires_on_time_time():
+    snippet = """
+        import time
+
+        def run(f):
+            start = time.time()
+            f()
+            return time.time() - start
+    """
+    assert rule_ids(snippet) == ["RL008", "RL008"]
+
+
+def test_rl008_fires_on_from_time_import_time():
+    assert rule_ids("from time import time\n") == ["RL008"]
 
 
 def test_rl008_fires_on_raw_perf_counter():
@@ -307,23 +298,18 @@ def test_rl008_silent_on_obs_primitives():
 
 
 def test_rl008_exempts_the_sanctioned_clock_module():
-    snippet = "import time\nstart = time.perf_counter()\n"
+    snippet = "import time\nstart = time.perf_counter() + time.time()\n"
     assert (
         check_source(snippet, path="src/repro/obs/clock.py", select=["RL008"])
-        == []
-    )
-    assert (
-        check_source(snippet, path="src/repro/eval/timing.py", select=["RL008"])
         == []
     )
 
 
 def test_rl008_fires_outside_the_exempt_paths():
     snippet = "import time\nstart = time.perf_counter()\n"
-    violations = check_source(
-        snippet, path="src/repro/core/ebrr.py", select=["RL008"]
-    )
-    assert [v.rule_id for v in violations] == ["RL008"]
+    for path in ("src/repro/core/ebrr.py", "src/repro/eval/timing.py"):
+        violations = check_source(snippet, path=path, select=["RL008"])
+        assert [v.rule_id for v in violations] == ["RL008"]
 
 
 # ----------------------------------------------------------------------

@@ -13,21 +13,21 @@ def lint(snippet, **kwargs):
 
 
 def test_unused_line_suppression_is_flagged():
-    violations = lint("x = 1  # reprolint: disable=RL004\n")
+    violations = lint("x = 1  # reprolint: disable=RL007\n")
     assert [v.rule_id for v in violations] == [META_RULE_ID]
     assert "unused suppression" in violations[0].message
-    assert "RL004" in violations[0].message
+    assert "RL007" in violations[0].message
     assert "on this line" in violations[0].message
 
 
 def test_used_line_suppression_is_silent():
-    assert lint("x = cost == 0.0  # reprolint: disable=RL004\n") == []
+    assert lint("x = cost == 0.0  # reprolint: disable=RL007\n") == []
 
 
 def test_unused_file_suppression_is_flagged():
     violations = lint(
         """
-        # reprolint: disable-file=RL004
+        # reprolint: disable-file=RL007
         x = 1
     """
     )
@@ -38,7 +38,7 @@ def test_unused_file_suppression_is_flagged():
 def test_used_file_suppression_is_silent():
     violations = lint(
         """
-        # reprolint: disable-file=RL004
+        # reprolint: disable-file=RL007
         x = cost == 0.0
     """
     )
@@ -46,9 +46,9 @@ def test_used_file_suppression_is_silent():
 
 
 def test_mixed_directive_flags_only_the_stale_id():
-    # RL004 fires on the line; RL005 does not — only RL005 is stale.
+    # RL007 fires on the line; RL005 does not — only RL005 is stale.
     violations = lint(
-        "x = cost == 0.0  # reprolint: disable=RL004,RL005\n"
+        "x = cost == 0.0  # reprolint: disable=RL007,RL005\n"
     )
     assert [v.rule_id for v in violations] == [META_RULE_ID]
     assert "RL005" in violations[0].message
@@ -57,20 +57,20 @@ def test_mixed_directive_flags_only_the_stale_id():
 def test_config_disabled_rule_makes_the_pragma_unjudgeable():
     # With the rule off, no violation can fire, so the pragma is not
     # reported as stale (it documents intent for when the rule is on).
-    config = config_from_table({"disable": ["RL004"]})
-    assert lint("x = 1  # reprolint: disable=RL004\n", config=config) == []
+    config = config_from_table({"disable": ["RL007"]})
+    assert lint("x = 1  # reprolint: disable=RL007\n", config=config) == []
 
 
 def test_rule_exclude_path_makes_the_pragma_unjudgeable():
     config = config_from_table(
-        {"rule-excludes": {"RL004": ["src/repro/snippet.py"]}}
+        {"rule-excludes": {"RL007": ["src/repro/snippet.py"]}}
     )
-    assert lint("x = 1  # reprolint: disable=RL004\n", config=config) == []
+    assert lint("x = 1  # reprolint: disable=RL007\n", config=config) == []
 
 
 def test_select_narrowing_skips_unused_detection_for_other_rules():
     violations = lint(
-        "x = 1  # reprolint: disable=RL004\n", select=["RL002"]
+        "x = 1  # reprolint: disable=RL007\n", select=["RL002"]
     )
     assert violations == []
 
@@ -78,7 +78,7 @@ def test_select_narrowing_skips_unused_detection_for_other_rules():
 def test_parse_failure_keeps_pragmas_unjudged():
     violations = lint(
         """
-        x = 1  # reprolint: disable=RL004
+        x = 1  # reprolint: disable=RL007
         def broken(:
     """
     )

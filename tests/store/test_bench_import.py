@@ -24,23 +24,15 @@ GOLDEN = Path(__file__).parent / "golden"
 RESULTS_DIR = Path(__file__).parents[2] / "benchmarks" / "results"
 
 #: A miniature results directory covering every payload shape the
-#: normalizer knows: ladder (largest.speedup), per-worker dicts,
-#: overhead-vs-limit, and a gateless free-form payload.
+#: normalizer knows: ladder (largest.speedup), a core-starved flat
+#: speedup, overhead-vs-limit, and a gateless free-form payload.
 FIXTURE_PAYLOADS = {
     "ladder": {
         "gate": "passed",
         "largest": {"speedup": 4.5, "n": 2000},
         "tiers": [{"n": 500, "speedup": 2.1}, {"n": 2000, "speedup": 4.5}],
     },
-    "workers": {
-        "gate": "skipped",
-        "cpu_limited": True,
-        "workers": {
-            "2": {"speedup": 1.4},
-            "4": {"speedup": 1.9},
-            "8": {"speedup": 1.6},
-        },
-    },
+    "starved": {"gate": "skipped", "cpu_limited": True, "speedup": 1.9},
     "overhead": {
         "disabled_overhead_pct": 0.4,
         "max_disabled_overhead_pct": 2.0,
@@ -63,26 +55,6 @@ class TestHeadline:
     def test_ladder_largest_speedup(self):
         assert headline(FIXTURE_PAYLOADS["ladder"]) == {
             "metric": "speedup", "value": 4.5,
-        }
-
-    def test_worker_dict_picks_best_worker(self):
-        head = headline(FIXTURE_PAYLOADS["workers"])
-        assert head == {
-            "metric": "best_worker_speedup", "value": 1.9, "workers": 4,
-        }
-
-    def test_worker_tie_prefers_more_workers(self):
-        head = headline(
-            {"workers": {"2": {"speedup": 1.5}, "4": {"speedup": 1.5}}}
-        )
-        assert head["workers"] == 4
-
-    def test_worker_dict_ignores_junk_entries(self):
-        head = headline(
-            {"workers": {"oops": {"speedup": 9.0}, "2": {"speedup": 1.1}}}
-        )
-        assert head == {
-            "metric": "best_worker_speedup", "value": 1.1, "workers": 2,
         }
 
     def test_flat_scalars(self):
@@ -114,7 +86,7 @@ class TestGateState:
         assert gate_state(FIXTURE_PAYLOADS["freeform"]) is None
 
     def test_cpu_limited(self):
-        assert is_cpu_limited(FIXTURE_PAYLOADS["workers"])
+        assert is_cpu_limited(FIXTURE_PAYLOADS["starved"])
         assert not is_cpu_limited(FIXTURE_PAYLOADS["ladder"])
 
 
@@ -153,10 +125,10 @@ class TestImportAndExport:
 
     def test_import_payload_normalizes(self):
         with RunStore(":memory:") as store:
-            import_bench_payload(store, "workers", FIXTURE_PAYLOADS["workers"])
-            row = store.benches(bench="workers")[0]
+            import_bench_payload(store, "starved", FIXTURE_PAYLOADS["starved"])
+            row = store.benches(bench="starved")[0]
         assert row["gate"] == "skipped"
-        assert row["headline_metric"] == "best_worker_speedup"
+        assert row["headline_metric"] == "speedup"
         assert row["headline_value"] == pytest.approx(1.9)
         assert row["cpu_limited"] is True
 

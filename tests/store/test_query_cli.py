@@ -30,12 +30,8 @@ def db(tmp_path):
         )
         import_bench_payload(
             store,
-            "parallel",
-            {
-                "gate": "skipped",
-                "cpu_limited": True,
-                "workers": {"2": {"speedup": 0.6}},
-            },
+            "starved",
+            {"gate": "skipped", "cpu_limited": True, "speedup": 0.6},
         )
         store.record_trace("/tmp/trace.json", kind="chrome", run_id=a)
     return str(path)
@@ -78,7 +74,7 @@ class TestViews:
         )
         assert code == 0
         rows = json.loads(out)
-        assert {r["bench"] for r in rows} == {"fullscale", "parallel"}
+        assert {r["bench"] for r in rows} == {"fullscale", "starved"}
         assert all("payload" not in r for r in rows)
 
     def test_gates_view_normalized(self, capsys, db):
@@ -87,10 +83,11 @@ class TestViews:
         gates = {r["bench"]: r for r in json.loads(out)}
         assert gates["fullscale"]["gate"] == "passed"
         assert gates["fullscale"]["value"] == 8.0
-        assert gates["parallel"]["gate"] == "skipped"
-        assert gates["parallel"]["cpu_limited"] is True
-        assert gates["parallel"]["metric"] == "best_worker_speedup"
-        assert gates["parallel"]["workers"] == 2
+        assert gates["starved"]["gate"] == "skipped"
+        assert gates["starved"]["cpu_limited"] is True
+        assert gates["starved"]["metric"] == "speedup"
+        assert gates["starved"]["value"] == 0.6
+        assert "workers" not in gates["starved"]
 
     def test_traces_view(self, capsys, db):
         code, out, _ = _query(capsys, "traces", "--db", db)
