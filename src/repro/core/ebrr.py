@@ -24,7 +24,7 @@ from .config import EBRRConfig
 from .preprocess import PreprocessResult, preprocess_queries
 from .refinement import refine_path
 from .result import EBRRResult, RouteMetrics
-from .selection import SelectionState, SelectionTrace, run_selection
+from .selection import _select_with_state
 from .utility import BRRInstance
 
 
@@ -93,13 +93,10 @@ def plan_route(
             if preprocess is None:
                 preprocess = preprocess_queries(instance, engine=engine)
 
-        # Lines 2-7: greedy selection. (run_selection builds its own
-        # state; we rebuild an identical one afterwards for refinement
-        # bookkeeping.)
+        # Lines 2-7: greedy selection; refinement continues from its
+        # live state.
         with obs_trace.begin("selection") as selection_span:
-            trace, state = _run_selection_with_state(
-                instance, preprocess, config, engine
-            )
+            trace, state = _select_with_state(instance, preprocess, config, engine)
             selection_span.set(
                 selected=len(trace.selected), evaluations=trace.evaluations
             )
@@ -163,22 +160,6 @@ def evaluate_route(instance: BRRInstance, route: BusRoute) -> RouteMetrics:
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-
-
-def _run_selection_with_state(
-    instance: BRRInstance,
-    preprocess: PreprocessResult,
-    config: EBRRConfig,
-    engine: SearchEngine,
-) -> Tuple[SelectionTrace, SelectionState]:
-    """Run the selection loop and keep its live state for refinement."""
-    trace = run_selection(instance, preprocess, config, engine=engine)
-    # Rebuild the state by replaying the trace: cheap relative to the
-    # selection itself and keeps run_selection's interface pure.
-    state = SelectionState(instance, preprocess, config, engine=engine)
-    for stop in trace.selected:
-        state.select(stop)
-    return trace, state
 
 
 def _order_stops(

@@ -23,10 +23,12 @@ remembers how much of ``B`` has already been scanned.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..network.geometry import Point, euclidean
+from ..network.geometry import Point
 
 _EPSILON = 1e-9
 
@@ -65,12 +67,18 @@ def intermediate_stop_count(distance: float, max_adjacent_cost: float) -> int:
 class LowerBoundPrice:
     """Algorithm 4: amortized Euclidean lower-bound prices.
 
-    Maintains, for each stop ``v`` ever queried, the running minimum of
-    ``distE(v, v') / C`` over the selected stops ``v' ∈ B`` seen so far,
-    plus the index ``lbIndex(v)`` of the first selected stop not yet
-    folded into that minimum.  Each :meth:`value` call only scans the
-    *new* members of ``B``, so the total work per stop is O(|B|) over
-    the whole run, amortized O(1) per iteration (Theorem 5's analysis).
+    Keeps two per-node arrays: ``lbp[v]``, the running minimum of
+    ``distE(v, v') / C`` over the selected stops ``v' ∈ B`` folded in
+    so far, and ``lbIndex[v]``, the index of the first selected stop not
+    yet folded into it.  Each :meth:`values` call only scans the *new*
+    members of ``B``, so the total work per stop is O(|B|) over the
+    whole run, amortized O(1) per iteration (Theorem 5's analysis).
+
+    The fold runs over whole arrays of stops, but each distance is
+    ``math.hypot`` of the coordinate differences, as
+    :func:`~repro.network.geometry.euclidean` computes it: ``np.hypot``
+    differs from it in the last bit on some inputs, and a one-ulp change
+    in a bound can reorder two equal ``RQueue`` priorities.
     """
 
     def __init__(
@@ -78,11 +86,13 @@ class LowerBoundPrice:
     ) -> None:
         if max_adjacent_cost <= 0:
             raise ConfigurationError(f"C must be positive, got {max_adjacent_cost}")
-        self._coords = coordinates
+        coords = np.asarray(coordinates, dtype=np.float64).reshape(-1, 2)
+        self._xs = coords[:, 0]
+        self._ys = coords[:, 1]
         self._c = max_adjacent_cost
         self._selected: List[int] = []
-        self._lbp: Dict[int, float] = {}
-        self._lb_index: Dict[int, int] = {}
+        self._lbp = np.full(len(coords), math.inf)
+        self._lb_index = np.zeros(len(coords), dtype=np.int64)
 
     @property
     def selected(self) -> List[int]:
@@ -93,29 +103,39 @@ class LowerBoundPrice:
         """Record a newly selected stop (``B ← B ∪ {v(i)}``)."""
         self._selected.append(stop)
 
-    def value(self, stop: int) -> float:
-        """``max(1, lbp(stop))`` — the lower-bound price used as the
-        denominator of the ``RQueue`` upper-bound priorities.
+    def values(self, stops: Sequence[int]) -> np.ndarray:
+        """``max(1, lbp(v))`` for each ``v`` in ``stops`` — the
+        lower-bound prices used as the denominators of the ``RQueue``
+        upper-bound priorities.
 
         Raises:
             ConfigurationError: if no stop has been selected yet.
         """
         if not self._selected:
             raise ConfigurationError("lower-bound price needs a non-empty B")
-        best = self._lbp.get(stop, math.inf)
-        start = self._lb_index.get(stop, 0)
-        point = self._coords[stop]
-        for i in range(start, len(self._selected)):
-            candidate = euclidean(point, self._coords[self._selected[i]]) / self._c
-            if candidate < best:
-                best = candidate
-        self._lbp[stop] = best
-        self._lb_index[stop] = len(self._selected)
-        return max(1.0, best)
+        stops = np.asarray(stops, dtype=np.int64)
+        best = self._lbp[stops]
+        start = self._lb_index[stops]
+        xs, ys = self._xs[stops], self._ys[stops]
+        size = len(self._selected)
+        for i in range(int(start.min(initial=size)), size):
+            pending = np.flatnonzero(start <= i)
+            member = self._selected[i]
+            dx = (xs[pending] - self._xs[member]).tolist()
+            dy = (ys[pending] - self._ys[member]).tolist()
+            candidate = np.fromiter(map(math.hypot, dx, dy), np.float64, len(dx))
+            best[pending] = np.minimum(best[pending], candidate / self._c)
+        self._lbp[stops] = best
+        self._lb_index[stops] = size
+        return np.maximum(best, 1.0)
+
+    def value(self, stop: int) -> float:
+        """``max(1, lbp(stop))`` — :meth:`values` for one stop."""
+        return float(self.values([stop])[0])
 
     def scanned_fraction(self, stop: int) -> float:
         """Fraction of ``B`` already folded into ``stop``'s bound —
         instrumentation for the amortization tests."""
         if not self._selected:
             return 1.0
-        return self._lb_index.get(stop, 0) / len(self._selected)
+        return int(self._lb_index[stop]) / len(self._selected)

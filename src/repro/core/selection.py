@@ -20,15 +20,22 @@ bitmasks, and the true price from the incrementally maintained
 nearest-distance-to-``B`` array; so a "function evaluation" here is
 cheap, but the *number* of evaluations is still the ablation metric and
 is counted in the trace.
+
+The ``RQueue`` is built from arrays, not pushed entry by entry: per
+pick, one ``searchsorted`` cuts the threshold prefix of the utility
+order, one pass computes its upper-bound priorities, and one stable
+``argsort`` yields the order a heap keyed ``(-priority, insertion
+counter)`` would pop them in.  Only the true evaluations are handled one
+at a time, so a pick costs a few numpy passes plus its evaluations.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import ConfigurationError, InfeasibleRouteError
 from ..network.engine import SearchEngine, engine_for
@@ -79,8 +86,9 @@ class SelectionState:
 
     Maintains, as stops join ``B``:
 
-    * ``current_nn[q]`` — each distinct query node's distance to its
-      nearest stop in ``S_existing ∪ B`` (starts at ``dist(q, nn(q))``);
+    * ``current_nn[q]`` — per node, each query node's distance to its
+      nearest stop in ``S_existing ∪ B`` (starts at ``dist(q, nn(q))``;
+      ``inf`` at nodes that hold no query);
     * ``covered_mask`` — the union route bitmask of ``B`` for O(1)
       marginal connectivity;
     * ``dist_to_b`` — network distance from every node to ``B``
@@ -100,13 +108,21 @@ class SelectionState:
         self.preprocess = preprocess
         self.config = config
         self.engine = engine if engine is not None else engine_for(instance.network)
-        self.current_nn: Dict[int, float] = dict(preprocess.nn_distance)
+        num_nodes = instance.network.num_nodes
+        self.current_nn: List[float] = [math.inf] * num_nodes
+        for query_node, dist in preprocess.nn_distance.items():
+            self.current_nn[query_node] = dist
+        # Per-node query multiplicities as floats: ``count * Δ`` rounds
+        # the same whether ``count`` is an int or its exact float.
+        self._weights: List[float] = [0.0] * num_nodes
+        for query_node, count in instance.query_counts.items():
+            self._weights[query_node] = float(count)
         self.covered_mask: int = 0
         self.selected: List[int] = []
         self.selected_set: set = set()
         self.dist_to_b = self.engine.incremental_nearest(phase="selection")
         self.lower_bound = LowerBoundPrice(
-            instance.network.coordinates(), config.max_adjacent_cost
+            self.engine.csr.np_coords, config.max_adjacent_cost
         )
 
     # -- true function evaluations -------------------------------------
@@ -119,12 +135,12 @@ class SelectionState:
                 stop, self.covered_mask
             )
         gain = 0.0
-        counts = instance.query_counts
+        weights = self._weights
         current = self.current_nn
         for query_node, dist in self.preprocess.rnn.get(stop, ()):  # type: ignore[arg-type]
             cur = current[query_node]
             if cur > dist:
-                gain += counts[query_node] * (cur - dist)
+                gain += weights[query_node] * (cur - dist)
         return gain
 
     def true_price(self, stop: int) -> int:
@@ -146,14 +162,33 @@ class SelectionState:
         if instance.is_existing[stop]:
             self.covered_mask |= instance.transit.route_mask(stop)
         else:
-            counts_entries = self.preprocess.rnn.get(stop, ())
-            for query_node, dist in counts_entries:
-                if dist < self.current_nn[query_node]:
-                    self.current_nn[query_node] = dist
+            current = self.current_nn
+            for query_node, dist in self.preprocess.rnn.get(stop, ()):
+                if dist < current[query_node]:
+                    current[query_node] = dist
         self.selected.append(stop)
         self.selected_set.add(stop)
         self.dist_to_b.add_source(stop)
         self.lower_bound.add_selected(stop)
+
+
+class _UtilityOrder(NamedTuple):
+    """Algorithm 2's stops in ``(-U, id)`` order — the order of
+    :meth:`~repro.core.preprocess.PreprocessResult.utility_order` — as
+    arrays, plus the stop ids as a list."""
+
+    utilities: np.ndarray  # non-increasing
+    stops: np.ndarray
+    stop_list: List[int]
+
+    @classmethod
+    def of(cls, preprocess: PreprocessResult) -> "_UtilityOrder":
+        table = preprocess.initial_utility
+        stops = np.fromiter(table.keys(), np.int64, len(table))
+        utilities = np.fromiter(table.values(), np.float64, len(table))
+        rank = np.lexsort((stops, -utilities))
+        stops = stops[rank]
+        return cls(utilities[rank], stops, stops.tolist())
 
 
 def run_selection(
@@ -178,13 +213,25 @@ def run_selection(
     Raises:
         InfeasibleRouteError: if no stop can be selected at all.
     """
+    trace, _ = _select_with_state(instance, preprocess, config, engine)
+    return trace
+
+
+def _select_with_state(
+    instance: BRRInstance,
+    preprocess: PreprocessResult,
+    config: EBRRConfig,
+    engine: Optional[SearchEngine],
+) -> Tuple[SelectionTrace, SelectionState]:
+    """:func:`run_selection`, also returning the live state (``B``'s
+    gains and ``dist(·, B)``) that path refinement continues from."""
     trace = SelectionTrace()
     state = SelectionState(instance, preprocess, config, engine=engine)
-    utility_order = preprocess.utility_order()
-    if not utility_order:
+    order = _UtilityOrder.of(preprocess)
+    if not order.stop_list:
         raise InfeasibleRouteError("no candidate or existing stops to select from")
 
-    seed = config.seed_stop if config.seed_stop is not None else utility_order[0][1]
+    seed = config.seed_stop if config.seed_stop is not None else order.stop_list[0]
     if not (instance.is_candidate[seed] or instance.is_existing[seed]):
         raise ConfigurationError(f"seed stop {seed} is not a valid stop location")
     trace.gains.append(state.marginal_gain(seed))
@@ -194,7 +241,7 @@ def run_selection(
     budget = config.price_budget
     with span("selection.loop", budget=budget) as loop_span:
         while trace.total_price < budget:
-            picked = _pick_most_profitable(state, utility_order, config, trace)
+            picked = _pick_most_profitable(state, order, config, trace)
             if picked is None:
                 break  # every remaining stop exhausted (tiny instances)
             stop, gain, price = picked
@@ -207,12 +254,12 @@ def run_selection(
             evaluations=trace.evaluations,
             queue_inserts=trace.queue_inserts,
         )
-    return trace
+    return trace, state
 
 
 def _pick_most_profitable(
     state: SelectionState,
-    utility_order: Sequence[Tuple[float, int]],
+    order: _UtilityOrder,
     config: EBRRConfig,
     trace: SelectionTrace,
 ) -> Optional[Tuple[int, float, int]]:
@@ -221,8 +268,9 @@ def _pick_most_profitable(
     Returns ``(stop, ΔU, price)`` or ``None`` if nothing remains.
     """
     if config.use_lazy_selection:
-        return _pick_lazy(state, utility_order, config, trace)
-    return _pick_exhaustive(state, utility_order, config, trace)
+        return _pick_lazy(state, order, config, trace)
+    pairs = list(zip(order.utilities.tolist(), order.stop_list))
+    return _pick_exhaustive(state, pairs, config, trace)
 
 
 def _pick_exhaustive(
@@ -267,21 +315,25 @@ def _pick_exhaustive(
 
 def _pick_lazy(
     state: SelectionState,
-    utility_order: Sequence[Tuple[float, int]],
+    order: _UtilityOrder,
     config: EBRRConfig,
     trace: SelectionTrace,
 ) -> Optional[Tuple[int, float, int]]:
     """The filtered queue: threshold pruning + lazy upper bounds.
 
-    Heap entries are ``(-priority, tiebreak, stop, gain, price)`` where
-    ``gain/price`` is ``None`` for upper-bound entries and the true
-    evaluation for re-inserted ones.  Popping a true entry proves it is
-    the argmax (Claim 2): every remaining entry's priority — an upper
-    bound of its true ratio — is no larger.
+    The ``RQueue`` pops entries by ``(-priority, counter)``: ``first``'s
+    true entry holds counter 0, the upper-bound entries their insertion
+    ranks ``1..m``, and each true re-insertion the next counter after
+    ``m``.  A stable sort of the upper-bound entries by ``-priority``
+    keeps equal priorities in insertion order, so walking it pops them
+    as the heap would.  Popping a true entry proves it is the argmax
+    (Claim 2): every remaining entry's priority — an upper bound of its
+    true ratio — is no larger.  Only the smallest true entry can ever be
+    popped, so it is the only one kept.
     """
     # Line 1: the threshold from the first unselected stop's true ratio.
     first = next(
-        (stop for _, stop in utility_order if stop not in state.selected_set), None
+        (stop for stop in order.stop_list if stop not in state.selected_set), None
     )
     if first is None:
         return None
@@ -290,34 +342,37 @@ def _pick_lazy(
     trace.evaluations += 1
     threshold = first_gain / first_price
 
-    counter = itertools.count()
-    heap: List[Tuple[float, int, int, Optional[float], Optional[int]]] = [
-        (-threshold, next(counter), first, first_gain, first_price)
-    ]
-    trace.queue_inserts += 1
-
-    # Lines 3-6: build the RQueue from the initial-utility order.
-    for initial_utility, stop in utility_order:
-        if stop == first or stop in state.selected_set:
-            continue
-        if config.use_threshold_pruning and initial_utility < threshold:
-            break
-        if config.use_lower_bound_price:
-            denominator: float = state.lower_bound.value(stop)
-        else:
-            denominator = float(state.true_price(stop))
-        priority = initial_utility / denominator if denominator > 0 else math.inf
-        heapq.heappush(heap, (-priority, next(counter), stop, None, None))
-        trace.queue_inserts += 1
+    # Lines 3-6: the RQueue's upper-bound entries, in insertion order.
+    # The utilities do not increase, so the pruning break leaves exactly
+    # the prefix with ``U >= threshold``.
+    end = len(order.stops)
+    if config.use_threshold_pruning:
+        end = int(np.searchsorted(-order.utilities, -threshold, side="right"))
+    keep = np.isin(order.stops[:end], state.selected + [first], invert=True)
+    stops = order.stops[:end][keep]
+    if config.use_lower_bound_price:
+        denominators = state.lower_bound.values(stops)
+    else:
+        denominators = np.array(
+            [state.true_price(stop) for stop in stops.tolist()], dtype=np.float64
+        )
+    neg_priorities = -(order.utilities[:end][keep] / denominators)
+    trace.queue_inserts += 1 + len(stops)
 
     # Lines 7-12: lazy evaluation.
-    while heap:
-        neg_priority, _, stop, gain, price = heapq.heappop(heap)
-        if gain is not None and price is not None:
-            return stop, gain, price
-        true_gain = state.marginal_gain(stop)
-        true_price = state.true_price(stop)
+    best_key, best = (-threshold, 0), (first, first_gain, first_price)
+    counter = len(stops)
+    stop_ids = stops.tolist()
+    keys = neg_priorities.tolist()
+    for rank in np.argsort(neg_priorities, kind="stable").tolist():
+        if (keys[rank], rank + 1) > best_key:
+            break  # the heap would pop the best true entry next
+        stop = stop_ids[rank]
+        gain = state.marginal_gain(stop)
+        price = state.true_price(stop)
         trace.evaluations += 1
-        ratio = true_gain / true_price
-        heapq.heappush(heap, (-ratio, next(counter), stop, true_gain, true_price))
-    return None
+        counter += 1
+        key = (-(gain / price), counter)
+        if key < best_key:
+            best_key, best = key, (stop, gain, price)
+    return best

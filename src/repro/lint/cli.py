@@ -9,6 +9,7 @@ unknown rule id).
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional, Sequence
 
 from .analyzer import run_lint
@@ -75,14 +76,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
         unknown = sorted(set(select) - set(all_rules()))
         if unknown:
-            print(f"unknown rule id(s): {', '.join(unknown)}")
+            print(f"unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
     config = LintConfig() if args.no_config else load_config()
     paths = args.paths if args.paths else config.default_paths()
     try:
         run = run_lint(paths, config=config, select=select)
     except FileNotFoundError as exc:
-        print(str(exc))
+        print(str(exc), file=sys.stderr)
         return 2
     output = render(run.violations, args.format)
     if output:

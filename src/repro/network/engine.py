@@ -47,6 +47,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..exceptions import GraphError
 from .csr import CSRAdjacency
 from .graph import RoadNetwork
@@ -658,7 +660,7 @@ class SearchEngine:
         have = set(best)
         for s in fingerprint:
             if s not in have and distance[s] > 0.0:
-                self._kernel.incremental_relax(self._csr, s, distance, None, stats)
+                self._kernel.incremental_relax(self._csr, s, distance, stats)
         distance, label = self._kernel.multi_source_labels(
             self._csr, list(fingerprint), stats, distance=distance
         )
@@ -747,12 +749,16 @@ class IncrementalNearest:
     """Nearest-distance-to-a-growing-set maintenance on the engine.
 
     Maintains ``distance[v] = min over s in S of dist(v, s)`` for a set
-    ``S`` that only grows.  Adding a source runs one Dijkstra from it,
-    pruned wherever the tentative cost is no better than the known
-    distance, and accounts that search to the engine's stats.  EBRR
-    uses it to keep every candidate stop's distance to the current
-    solution set ``B`` (the price function) without re-running
-    searches.
+    ``S`` that only grows.  The first source's distances are its
+    :meth:`SearchEngine.sssp` row: on an empty set the pruned fold
+    prunes nothing, so it is exactly that row (the fixed-point argument
+    of :meth:`SearchEngine._repair_label_field`), and the row comes from
+    the active kernel and the engine's cache.  Each later source runs
+    one Dijkstra from it, pruned wherever the tentative cost is no
+    better than the known distance.  Both searches are accounted to the
+    engine's stats.  EBRR uses it to keep every candidate stop's
+    distance to the current solution set ``B`` (the price function)
+    without re-running searches.
     """
 
     def __init__(self, engine: SearchEngine, phase: str) -> None:
@@ -766,20 +772,23 @@ class IncrementalNearest:
         """The sources added so far, in insertion order (a copy)."""
         return list(self._sources)
 
-    def add_source(
-        self, source: int, *, max_cost: Optional[float] = None
-    ) -> List[int]:
+    def add_source(self, source: int) -> List[int]:
         """Add ``source`` to the set and relax distances; returns the
-        nodes whose distance improved."""
+        nodes whose distance improved (for the first source, every
+        reachable node in ``(dist, node)`` order)."""
         dist = self.distance
+        if not self._sources:
+            dist[:] = self._engine.sssp(source, phase=self._phase)
+            self._sources.append(source)
+            row = np.asarray(dist)
+            reached = np.argsort(row, kind="stable")
+            return reached[: np.count_nonzero(row < INF)].tolist()
         if dist[source] <= 0.0:
             self._sources.append(source)
             return []
         csr = self._engine.csr
         stats = self._engine.counters(self._phase)
-        improved = self._engine.kernel.incremental_relax(
-            csr, source, dist, max_cost, stats
-        )
+        improved = self._engine.kernel.incremental_relax(csr, source, dist, stats)
         self._sources.append(source)
         return improved
 

@@ -181,7 +181,6 @@ class SearchKernel(Protocol):
         csr: "CSRAdjacency",
         source: int,
         distance: List[float],
-        max_cost: Optional[float],
         stats: "SearchStats",
     ) -> List[int]:
         """One pruned relaxation of the incremental nearest-set

@@ -398,7 +398,6 @@ class PythonKernel:
         csr: "CSRAdjacency",
         source: int,
         distance: List[float],
-        max_cost: Optional[float],
         stats: "SearchStats",
     ) -> List[int]:
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
@@ -411,9 +410,6 @@ class PythonKernel:
         while heap:
             d, u = heapq.heappop(heap)
             if d > local.get(u, INF):
-                continue
-            if max_cost is not None and d > max_cost:
-                stats.truncated += 1
                 continue
             if d >= dist[u]:
                 # everything beyond u through this path is already

@@ -37,10 +37,12 @@ def test_python_dash_m_repro_lint_src_exits_zero():
 
 
 def test_lint_main_clean_repo_in_process(capsys):
+    # One clean file: the whole tree is linted by
+    # test_repo_source_tree_is_clean and the subprocess test above.
     cwd = os.getcwd()
     os.chdir(REPO_ROOT)
     try:
-        code = lint_main(["src"])
+        code = lint_main(["src/repro/lint/cli.py"])
     finally:
         os.chdir(cwd)
     assert code == 0
@@ -79,9 +81,18 @@ def test_lint_main_github_format(tmp_path, capsys):
 
 def test_lint_main_exit_codes(tmp_path, capsys):
     assert lint_main(["--list-rules"]) == 0
-    assert lint_main([str(tmp_path / "missing.py")]) == 2
-    assert lint_main(["--select", "RL999", str(tmp_path)]) == 2
     capsys.readouterr()
+    # Usage errors go to stderr: a json or github consumer must read
+    # nothing but its own format on stdout.
+    for fmt in ("text", "json"):
+        assert lint_main([str(tmp_path / "missing.py"), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no such file or directory" in err
+        assert lint_main(["--select", "RL999", "--format", fmt, str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown rule id(s): RL999" in err
 
 
 def test_repro_cli_lint_subcommand(tmp_path, capsys):

@@ -91,9 +91,7 @@ def test_incremental_equals_multi_source(network, seed):
     incremental = engine.incremental_nearest()
     for s in sources:
         incremental.add_source(s)
-    expected = engine.multi_source(sources)
-    for v in network.nodes():
-        assert incremental.distance[v] == pytest.approx(expected[v])
+    assert incremental.distance == engine.multi_source(sources)
 
 
 @settings(max_examples=30, deadline=None)

@@ -204,18 +204,15 @@ def test_nodes_within_bit_identical(network, seed, b):
 
 
 @settings(max_examples=25, deadline=None)
-@given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
-def test_incremental_nearest_bit_identical(network, seed, b):
+@given(network=cities(), seed=st.integers(0, 10 ** 6))
+def test_incremental_nearest_bit_identical(network, seed):
     ep, ev = engines(network)
     n = network.num_nodes
-    max_cost = bound_from(b, network)
     incp = ep.incremental_nearest(phase="inc")
     incv = ev.incremental_nearest(phase="inc")
     for k in range(4):
         source = (seed // (k + 1)) % n
-        assert incp.add_source(source, max_cost=max_cost) == incv.add_source(
-            source, max_cost=max_cost
-        )
+        assert incp.add_source(source) == incv.add_source(source)
         assert incp.distance == incv.distance
     assert incp.sources == incv.sources
     assert invariant_counters(ep, "inc") == invariant_counters(ev, "inc")

@@ -3,7 +3,6 @@ price (Definitions 11/12, Algorithm 4)."""
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.price import (
@@ -86,7 +85,51 @@ def test_lbp_equals_fresh_minimum(points, c, seed):
                 1.0,
                 min(euclidean(points[probe], points[s]) for s in selected) / c,
             )
-            assert lbp.value(probe) == pytest.approx(fresh)
+            assert lbp.value(probe) == fresh
+
+
+def _scalar_fold(points, selected, c):
+    """Algorithm 4's bound one stop and one member at a time."""
+    from repro.network.geometry import euclidean
+
+    bounds = []
+    for point in points:
+        best = math.inf
+        for s in selected:
+            candidate = euclidean(point, points[s]) / c
+            if candidate < best:
+                best = candidate
+        bounds.append(max(1.0, best))
+    return bounds
+
+
+@settings(max_examples=50, deadline=None)
+@given(points=point_sets(), c=costs, seed=st.integers(0, 10 ** 6))
+def test_values_equal_scalar_fold(points, c, seed):
+    """The array fold equals the scalar one bit for bit, whatever mix
+    of stale and fresh ``lbIndex`` entries a call sees."""
+    lbp = LowerBoundPrice(points, max_adjacent_cost=c)
+    n = len(points)
+    selected = []
+    for k in range(n):
+        lbp.add_selected((seed + k) % n)
+        selected.append((seed + k) % n)
+        # Probe a shifting subset, so some stops lag several members.
+        probes = [v for v in range(n) if (v + k + seed) % 3]
+        expected = _scalar_fold(points, selected, c)
+        assert lbp.values(probes).tolist() == [expected[v] for v in probes]
+    assert lbp.values(range(n)).tolist() == _scalar_fold(points, selected, c)
+
+
+def test_values_match_math_hypot_not_np_hypot():
+    """``np.hypot(0.105, 0.407)`` differs from ``math.hypot`` in the last
+    bit; the bound must keep ``math.hypot``'s, as the scalar fold has."""
+    points = [(0.0, 0.0), (0.105, 0.407), (0.096, 1.665)]
+    lbp = LowerBoundPrice(points, max_adjacent_cost=0.25)
+    lbp.add_selected(0)
+    assert lbp.values([1, 2]).tolist() == _scalar_fold(points, [0], 0.25)[1:]
+    lbp.add_selected(1)
+    assert lbp.values([0, 1, 2]).tolist() == _scalar_fold(points, [0, 1], 0.25)
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,13 +3,17 @@ every stop the filtered/lazy machinery picks must be a true argmax of
 ``ΔU_B(v) / p(v, B)`` — i.e. the accelerations never change the greedy
 decision, only the work done to find it."""
 
+import heapq
+import itertools
 import math
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro.core import selection
 from repro.core.config import EBRRConfig
 from repro.core.preprocess import preprocess_queries
-from repro.core.selection import SelectionState, run_selection
+from repro.core.selection import SelectionState, SelectionTrace, run_selection
 from repro.core.utility import BRRInstance
 from repro.demand.generators import hotspot_demand
 from repro.network.generators import grid_city
@@ -108,3 +112,103 @@ def test_total_gain_telescopes_to_exact_utility(seed):
     assert trace.total_gain == pytest.approx(
         instance.utility(trace.selected), rel=1e-9
     )
+
+
+# ----------------------------------------------------------------------
+# The heap RQueue oracle
+# ----------------------------------------------------------------------
+#
+# ``_heap_pick_lazy`` is the filtered queue as a literal heap of
+# ``(-priority, counter, ...)`` entries, one push per upper-bound entry,
+# kept verbatim as the reference the array RQueue must equal.
+
+
+def _heap_pick_lazy(
+    state: SelectionState,
+    utility_order: Sequence[Tuple[float, int]],
+    config: EBRRConfig,
+    trace: SelectionTrace,
+) -> Optional[Tuple[int, float, int]]:
+    """The filtered queue: threshold pruning + lazy upper bounds.
+
+    Heap entries are ``(-priority, tiebreak, stop, gain, price)`` where
+    ``gain/price`` is ``None`` for upper-bound entries and the true
+    evaluation for re-inserted ones.  Popping a true entry proves it is
+    the argmax (Claim 2): every remaining entry's priority — an upper
+    bound of its true ratio — is no larger.
+    """
+    # Line 1: the threshold from the first unselected stop's true ratio.
+    first = next(
+        (stop for _, stop in utility_order if stop not in state.selected_set), None
+    )
+    if first is None:
+        return None
+    first_gain = state.marginal_gain(first)
+    first_price = state.true_price(first)
+    trace.evaluations += 1
+    threshold = first_gain / first_price
+
+    counter = itertools.count()
+    heap: List[Tuple[float, int, int, Optional[float], Optional[int]]] = [
+        (-threshold, next(counter), first, first_gain, first_price)
+    ]
+    trace.queue_inserts += 1
+
+    # Lines 3-6: build the RQueue from the initial-utility order.
+    for initial_utility, stop in utility_order:
+        if stop == first or stop in state.selected_set:
+            continue
+        if config.use_threshold_pruning and initial_utility < threshold:
+            break
+        if config.use_lower_bound_price:
+            denominator: float = state.lower_bound.value(stop)
+        else:
+            denominator = float(state.true_price(stop))
+        priority = initial_utility / denominator if denominator > 0 else math.inf
+        heapq.heappush(heap, (-priority, next(counter), stop, None, None))
+        trace.queue_inserts += 1
+
+    # Lines 7-12: lazy evaluation.
+    while heap:
+        neg_priority, _, stop, gain, price = heapq.heappop(heap)
+        if gain is not None and price is not None:
+            return stop, gain, price
+        true_gain = state.marginal_gain(stop)
+        true_price = state.true_price(stop)
+        trace.evaluations += 1
+        ratio = true_gain / true_price
+        heapq.heappush(heap, (-ratio, next(counter), stop, true_gain, true_price))
+    return None
+
+
+LAZY_SWITCH_SETS = {
+    "EBRR": {},
+    "w/o filtered queue": dict(use_threshold_pruning=False),
+    "real price": dict(use_lower_bound_price=False),
+    "real price, no pruning": dict(
+        use_lower_bound_price=False, use_threshold_pruning=False
+    ),
+}
+
+
+@pytest.mark.parametrize("switches", list(LAZY_SWITCH_SETS))
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_array_rqueue_equals_heap_oracle(seed, switches, monkeypatch):
+    """Every trace field — picks, gains, prices, evaluations and queue
+    inserts — equals the heap's, on instances with many tied utilities
+    and priorities."""
+    instance = _random_instance(seed)
+    pre = preprocess_queries(instance)
+    config = EBRRConfig(
+        max_stops=12, max_adjacent_cost=1.5, alpha=4.0, **LAZY_SWITCH_SETS[switches]
+    )
+    rewritten = run_selection(instance, pre, config)
+
+    pairs = pre.utility_order()
+    monkeypatch.setattr(
+        selection,
+        "_pick_lazy",
+        lambda state, order, config, trace: _heap_pick_lazy(state, pairs, config, trace),
+    )
+    oracle = run_selection(instance, pre, config)
+    assert vars(rewritten) == vars(oracle)
