@@ -39,7 +39,6 @@ from .datasets.registry import available_cities, load_city
 from .eval.experiments import calibrated_alpha, dataset_statistics, effect_of_k
 from .eval.export import rows_to_csv
 from .eval.reporting import format_series, format_table
-from .network.engine import available_kernels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print per-phase graph-search statistics "
                            "(searches, cache hits, settled nodes) and "
                            "the engine cache summary")
-    plan.add_argument("--kernel", choices=available_kernels(), default=None,
-                      help="search-kernel backend (default: $REPRO_KERNEL, "
-                           "then 'vectorized', the compiled scipy backend; "
-                           "results are bit-identical — 'python' is the "
-                           "reference heapq oracle)")
     plan.add_argument("--trace", type=str, default=None, metavar="PATH",
                       help="record a trace of the run and write it in "
                            "Chrome trace-event format (open in "
@@ -94,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-c", "--max-adjacent-cost", type=float, default=2.0)
     sweep.add_argument("--csv", type=str, default=None,
                        help="also export the rows to this CSV file")
-    sweep.add_argument("--kernel", choices=available_kernels(), default=None,
-                       help="search-kernel backend for every planner run "
-                            "(default: $REPRO_KERNEL, then 'vectorized'; "
-                            "rows are bit-identical across backends)")
     sweep.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="record a trace of the sweep and write it in "
                             "Chrome trace-event format")
@@ -141,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default C for /v1/plan requests (km)")
     serve.add_argument("--alpha", type=float, default=None,
                        help="utility trade-off (default: calibrated per city)")
-    serve.add_argument("--kernel", choices=available_kernels(), default=None,
-                       help="search-kernel backend for every tenant "
-                            "(default: $REPRO_KERNEL, then 'vectorized')")
     serve.add_argument("--cache-capacity", type=int, default=None,
                        help="bound each tenant engine's LRU row cache "
                             "(daemon memory cap; default: engine default)")
@@ -200,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_query_args(q_runs)
     q_runs.add_argument("--dataset", type=str, default=None)
     q_runs.add_argument("--kind", type=str, default=None,
-                        help="writer kind (sweep, planner, ...)")
+                        help="writer kind (planner, serve, ...)")
 
     q_metrics = query_sub.add_parser(
         "metrics", help="typed per-run metric key/values"
@@ -315,24 +302,21 @@ def _write_trace(trace, path: str) -> None:
     from .obs import write_chrome_trace
 
     write_chrome_trace(trace, path)
-    lanes = {span.lane for span in trace.spans}
     print(
-        f"trace written to {path} ({len(trace.spans)} spans, "
-        f"{len(lanes)} lane{'s' if len(lanes) != 1 else ''}); "
+        f"trace written to {path} ({len(trace.spans)} spans); "
         "open in chrome://tracing or https://ui.perfetto.dev"
     )
 
 
-def _resolve_runtime_choices(args) -> int:
-    """Validate the kernel choice (including the $REPRO_KERNEL fallback)
-    *before* loading a city, so a typo'd environment variable fails in
-    milliseconds with the choices listed instead of deep inside the
-    engine."""
+def _check_kernel_env() -> int:
+    """Validate ``$REPRO_KERNEL`` *before* loading a city, so a typo'd
+    environment variable fails in milliseconds with the choices listed
+    instead of deep inside the engine."""
     from .exceptions import ConfigurationError
     from .network.engine import resolve_kernel
 
     try:
-        resolve_kernel(args.kernel)
+        resolve_kernel(None)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -342,7 +326,7 @@ def _resolve_runtime_choices(args) -> int:
 def _cmd_plan(args) -> int:
     from .obs import tracing
 
-    code = _resolve_runtime_choices(args)
+    code = _check_kernel_env()
     if code:
         return code
     # The trace covers the dataset build and the calibration too; the
@@ -355,7 +339,6 @@ def _cmd_plan(args) -> int:
             max_stops=args.max_stops,
             max_adjacent_cost=args.max_adjacent_cost,
             alpha=alpha,
-            kernel=args.kernel,
         )
         result = plan_route(instance, config)
     if args.trace:
@@ -404,7 +387,7 @@ def _cmd_serve(args) -> int:
         run_server,
     )
 
-    code = _resolve_runtime_choices(args)
+    code = _check_kernel_env()
     if code:
         return code
     try:
@@ -430,7 +413,6 @@ def _cmd_serve(args) -> int:
                 max_stops=args.max_stops,
                 max_adjacent_cost=args.max_adjacent_cost,
                 alpha=args.alpha,
-                kernel=args.kernel,
                 cache_capacity=args.cache_capacity,
             )
             print(f"loading {city} (scale {args.scale}, warm={warm}) ...")
@@ -475,7 +457,7 @@ def _cmd_sweep(args) -> int:
     if not ks:
         print("error: --ks is empty", file=sys.stderr)
         return 2
-    code = _resolve_runtime_choices(args)
+    code = _check_kernel_env()
     if code:
         return code
     dataset = load_city(args.city, scale=args.scale)
@@ -486,13 +468,12 @@ def _cmd_sweep(args) -> int:
         with tracing() as trace:
             rows = effect_of_k(
                 dataset, ks, alpha=alpha,
-                max_adjacent_cost=args.max_adjacent_cost, kernel=args.kernel,
+                max_adjacent_cost=args.max_adjacent_cost,
             )
         _write_trace(trace, args.trace)
     else:
         rows = effect_of_k(
             dataset, ks, alpha=alpha, max_adjacent_cost=args.max_adjacent_cost,
-            kernel=args.kernel,
         )
     for value, title in (
         ("walk_cost", "Walking cost vs K"),

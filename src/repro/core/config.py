@@ -48,19 +48,10 @@ class EBRRConfig:
             the "w/o the path refinement" variant.
         price_budget_fraction: the stopping constant of Algorithm 1
             (2/3 by default; exposed for sensitivity studies).
-        kernel: search-kernel backend name (``"python"``,
-            ``"vectorized"``); ``None`` defers to the ``REPRO_KERNEL``
-            environment variable, then the default.  Backends are
-            bit-identical by contract, so this is purely a speed knob.
-            The name is a plain string so the config pickles unchanged
-            into :func:`~repro.parallel.sweep.sweep_plans` workers.
-        cache_capacity: bound on the :class:`~repro.network.engine.
-            SearchEngine` row-cache (LRU entries; the point cache is
-            bounded at 4x).  ``None`` keeps the engine's default.
-            Long-lived processes — the :mod:`repro.serve` daemon in
-            particular — set this to cap resident memory; caches are
-            purely a reuse optimization, so capacity never changes
-            results, only hit rates.
+
+    Engine settings (search backend, cache capacity) are not part of the
+    config: they belong to the :class:`~repro.network.engine.SearchEngine`
+    a run is given, and never change its result.
     """
 
     max_stops: int
@@ -72,8 +63,6 @@ class EBRRConfig:
     use_lower_bound_price: bool = True
     refine_path: bool = True
     price_budget_fraction: float = DEFAULT_PRICE_BUDGET_FRACTION
-    kernel: Optional[str] = None
-    cache_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_stops < 2:
@@ -96,20 +85,6 @@ class EBRRConfig:
                 "price_budget_fraction must be in (0, 1], got "
                 f"{self.price_budget_fraction}"
             )
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.kernel is not None:
-            # Imported lazily: config is a leaf module and the engine
-            # owns the kernel registry (RL009 confines the package).
-            from ..network.engine import available_kernels
-
-            if self.kernel not in available_kernels():
-                raise ConfigurationError(
-                    f"unknown search kernel {self.kernel!r}; available: "
-                    f"{', '.join(available_kernels())}"
-                )
 
     @property
     def price_budget(self) -> float:

@@ -63,11 +63,7 @@ def plan_route(
             "same alpha"
         )
     if engine is None:
-        engine = engine_for(instance.network, kernel=config.kernel)
-    elif config.kernel is not None:
-        engine.set_kernel(config.kernel)
-    if config.cache_capacity is not None:
-        engine.set_cache_capacity(config.cache_capacity)
+        engine = engine_for(instance.network)
     stats_base = engine.snapshot()
 
     # All phases run under trace spans; the timings dict is *derived*

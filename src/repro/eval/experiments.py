@@ -21,6 +21,7 @@ from ..datasets.small import SmallExtract
 from ..demand.partition import by_regions, vertical_bands
 from ..demand.query import QuerySet
 from ..exceptions import ConfigurationError
+from ..network.engine import SearchEngine
 from ..obs import span
 from ..transit.journey import travel_cost_decrease
 from .metrics import approximation_ratio, uncovered_demand_coverage
@@ -127,20 +128,16 @@ def effect_of_k(
     max_adjacent_cost: float = 2.0,
     planners: Optional[Sequence[RoutePlanner]] = None,
     seed: int = 0,
-    kernel: Optional[str] = None,
 ) -> List[Row]:
     """One row per (K, algorithm): walking cost (Fig. 7), connectivity
-    (Fig. 8), and execution time (Fig. 13) on the full demand.
-    ``kernel`` picks the search backend (identical rows — it is a speed
-    knob; see :mod:`repro.network.kernels`)."""
+    (Fig. 8), and execution time (Fig. 13) on the full demand."""
     if planners is None:
         planners = default_planners(seed=seed)
     instance = dataset.instance(alpha)
     rows: List[Row] = []
     for k in ks:
         config = EBRRConfig(
-            max_stops=k, max_adjacent_cost=max_adjacent_cost, alpha=alpha,
-            kernel=kernel,
+            max_stops=k, max_adjacent_cost=max_adjacent_cost, alpha=alpha
         )
         with span("effect_of_k", dataset=dataset.name, K=k):
             plans = run_planners(
@@ -404,7 +401,12 @@ def ablation_study(
     variants: Optional[Sequence[str]] = None,
 ) -> List[Row]:
     """Run EBRR variants (Figs. 15/16): one row per (K, variant) with
-    time, utility, number of stops, and evaluation counts."""
+    time, utility, number of stops, and evaluation counts.
+
+    Each timed run plans on its own :class:`SearchEngine`, so no variant
+    reuses distance rows an earlier one cached, and one untimed plan
+    before the loop takes the process's cold start off the first cell:
+    ``time_s`` compares the variants, not their run order."""
     chosen = list(variants) if variants is not None else [
         "EBRR", "w/o filtered queue", "w/o path refinement"
     ]
@@ -412,6 +414,11 @@ def ablation_study(
     if unknown:
         raise ConfigurationError(f"unknown ablation variants: {unknown}")
     instance = dataset.instance(alpha)
+    if ks:
+        warm_up = EBRRConfig(
+            max_stops=ks[0], max_adjacent_cost=max_adjacent_cost, alpha=alpha
+        )
+        plan_route(instance, warm_up, engine=SearchEngine(instance.network))
     rows: List[Row] = []
     for k in ks:
         for variant in chosen:
@@ -422,7 +429,9 @@ def ablation_study(
                 alpha=alpha,
                 **overrides,  # type: ignore[arg-type]
             )
-            result = plan_route(instance, config)
+            result = plan_route(
+                instance, config, engine=SearchEngine(instance.network)
+            )
             rows.append(
                 {
                     "dataset": dataset.name,

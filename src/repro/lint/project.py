@@ -65,7 +65,7 @@ class FunctionFact:
         decorators: dotted decorator names (``traced``, ``obs.traced``).
         calls: ``(dotted_name, lineno)`` per call whose callee is a
             plain name or attribute chain (``plan_route``,
-            ``sweep.pool_context``); method calls on dynamic values are
+            ``obs.now``); method calls on dynamic values are
             not recorded.
         has_span: body opens a trace span — ``with span(...)`` /
             ``with tracing(...)`` / ``with <trace>.begin(...)`` — or the
@@ -112,7 +112,7 @@ class FileFacts:
 def module_name_for(path: str) -> str:
     """Derive a dotted module name from a file path.
 
-    ``src/repro/parallel/sweep.py`` → ``repro.parallel.sweep``;
+    ``src/repro/core/ebrr.py`` → ``repro.core.ebrr``;
     package ``__init__.py`` maps to the package itself.  Paths outside a
     recognizable package root fall back to the file stem, which keeps
     in-memory fixture snippets addressable.

@@ -7,11 +7,11 @@ re-opens every hole :class:`SearchEngine` closed: redundant searches,
 invisible work, stale CSR reads, and results that silently diverge
 from the profile the engine reports.  Only ``network/engine.py`` (the
 orchestrator) and the kernels package itself may import it; everyone
-else selects a backend *by name* — ``EBRRConfig.kernel``,
-``--kernel``, ``$REPRO_KERNEL`` — and uses the helpers the engine
-re-exports (``available_kernels``, ``resolve_kernel``,
-``KERNEL_IDS``).  The sanctioned importers are excluded via
-``[tool.reprolint.rule-excludes]``.
+else selects a backend *by name* where the engine is built —
+``SearchEngine(network, kernel=...)`` or ``$REPRO_KERNEL`` — and uses
+the helpers the engine re-exports (``available_kernels``,
+``resolve_kernel``, ``KERNEL_IDS``).  The sanctioned importers are
+excluded via ``[tool.reprolint.rule-excludes]``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class KernelConfinementRule(Rule):
     rationale = (
         "search-kernel backends (repro.network.kernels) are raw, "
         "uncached, unaccounted search loops; only the SearchEngine may "
-        "drive them — select a backend by name via EBRRConfig.kernel / "
-        "--kernel / REPRO_KERNEL instead"
+        "drive them — select a backend by name via "
+        "SearchEngine(kernel=...) / $REPRO_KERNEL instead"
     )
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -47,7 +47,7 @@ class KernelConfinementRule(Rule):
                     node,
                     f"direct import of {alias.name}; kernels are engine "
                     "internals — select a backend by name "
-                    "(EBRRConfig.kernel / --kernel / REPRO_KERNEL)",
+                    "(SearchEngine(kernel=...) / $REPRO_KERNEL)",
                 )
         self.generic_visit(node)
 
@@ -67,7 +67,7 @@ class KernelConfinementRule(Rule):
                 node,
                 "import from the kernels package; kernels are engine "
                 "internals — select a backend by name "
-                "(EBRRConfig.kernel / --kernel / REPRO_KERNEL)",
+                "(SearchEngine(kernel=...) / $REPRO_KERNEL)",
             )
         # Concrete backend classes leaked through a re-export, e.g.
         # ``from repro.network.engine import PythonKernel``.
@@ -82,6 +82,6 @@ class KernelConfinementRule(Rule):
                     node,
                     f"import of kernel backend class(es) {', '.join(leaked)}; "
                     "select a backend by name "
-                    "(EBRRConfig.kernel / --kernel / REPRO_KERNEL)",
+                    "(SearchEngine(kernel=...) / $REPRO_KERNEL)",
                 )
         self.generic_visit(node)

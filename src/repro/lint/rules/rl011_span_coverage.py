@@ -8,7 +8,7 @@ still returns correct routes — only the trace goes blind.  This rule
 makes the convention checkable.
 
 An **entry point** is a public module-level function, defined under
-``repro.core``, ``repro.parallel``, or ``repro.serve``, whose name
+``repro.core`` or ``repro.serve``, whose name
 starts with one of the phase verbs (``plan``, ``run``, ``sweep``,
 ``preprocess``, ``update``, ``postprocess``, ``refine``, ``select``,
 ``order``, ``handle``, ``serve``) — the naming convention every phase
@@ -32,7 +32,7 @@ from ..project import FunctionFact, ProjectModel
 from ..registry import ProjectRule, register
 
 #: Package prefixes whose public functions are phase material.
-PHASE_PACKAGES = ("repro.core.", "repro.parallel.", "repro.serve.")
+PHASE_PACKAGES = ("repro.core.", "repro.serve.")
 
 #: Leading verbs that mark a public function as a phase entry point.
 PHASE_VERBS = (
@@ -65,7 +65,7 @@ class SpanCoverageRule(ProjectRule):
     title = "span-coverage"
     rationale = (
         "public phase entry points (plan_/run_/sweep_/handle_/... "
-        "under repro.core, repro.parallel, and repro.serve) must run "
+        "under repro.core and repro.serve) must run "
         "under an obs span — directly or via a callee — so traces, "
         "derived timings, and per-request span trees cannot silently "
         "lose a phase"

@@ -26,18 +26,18 @@ with a single owned, cacheable, observable substrate:
   :mod:`repro.network.kernels`: the engine owns caching, stats and
   snapshot invalidation and delegates every primitive search to a
   :class:`~repro.network.kernels.base.SearchKernel` (``python`` heapq
-  reference or scipy ``vectorized``), selected by name via
-  ``EBRRConfig.kernel`` / ``--kernel`` / ``$REPRO_KERNEL``.  Backends
-  are bit-identical by contract, so :meth:`SearchEngine.set_kernel`
-  swaps mid-run without invalidating caches.
+  reference or scipy ``vectorized``).  The backend is chosen once,
+  where the engine is built: ``SearchEngine(network, kernel=...)``,
+  else ``$REPRO_KERNEL``, else the default.  Backends are bit-identical
+  by contract, so the choice changes speed, never a result.
 
 Results returned from cached entries are the cached objects themselves:
 **treat every returned list as read-only.**
 
 This module is the only importer of :mod:`repro.network.kernels`
 (reprolint RL009); it re-exports :func:`available_kernels`,
-:func:`resolve_kernel` and :data:`KERNEL_IDS` for config/CLI/metrics
-use.
+:func:`resolve_kernel` and :data:`KERNEL_IDS` for the CLI's
+``$REPRO_KERNEL`` check and the ``search.kernel`` gauge.
 """
 
 from __future__ import annotations
@@ -261,16 +261,6 @@ class SearchEngine:
         """Registry name of the active backend (``"python"``, ...)."""
         return self._kernel.name
 
-    def set_kernel(self, kernel: Union[str, SearchKernel]) -> None:
-        """Swap the search backend.
-
-        Cached results are deliberately **kept**: the relaxation-order
-        contract (``kernels.base``) makes backends bit-identical, so a
-        row computed by one kernel is exactly the row the other would
-        compute — the cross-backend equivalence suite enforces this.
-        """
-        self._kernel = resolve_kernel(kernel)
-
     @property
     def cache_capacity(self) -> int:
         """The LRU bound on cached rows (points are bounded at 4x)."""
@@ -334,20 +324,6 @@ class SearchEngine:
 
     def reset_stats(self) -> None:
         self._stats.clear()
-
-    def absorb(self, phase: str, stats: SearchStats) -> None:
-        """Fold search work executed *outside* this engine into the
-        ``phase`` counters — the fold-back contract of
-        :func:`~repro.parallel.sweep.sweep_plans`: worker processes plan
-        on private engines and ship their :class:`SearchStats` back, so
-        the owning engine's profile (``--profile-searches``) reports the
-        same totals wherever the searches actually ran."""
-        counters = self.counters(phase)
-        counters.searches += stats.searches
-        counters.cache_hits += stats.cache_hits
-        counters.settled += stats.settled
-        counters.pushes += stats.pushes
-        counters.truncated += stats.truncated
 
     def cache_info(self) -> CacheInfo:
         info = replace(self._info)  # a snapshot, so before/after pairs compare
@@ -796,27 +772,19 @@ class IncrementalNearest:
         return self.distance[node]
 
 
-def engine_for(
-    network: RoadNetwork,
-    *,
-    kernel: Union[str, SearchKernel, None] = None,
-) -> SearchEngine:
+def engine_for(network: RoadNetwork) -> SearchEngine:
     """The shared :class:`SearchEngine` of ``network``.
 
     Created lazily on first call and stored on the network object, so
     every module searching the same network — EBRR phases, baselines,
-    transit analytics, the journey planner — shares one cache and one
-    stats ledger.  The engine's lifetime is the network's.
-
-    A non-``None`` ``kernel`` switches the shared engine's backend (via
-    :meth:`SearchEngine.set_kernel`, so caches survive — backends are
-    bit-identical by contract); ``None`` leaves the existing engine's
-    backend untouched.
+    the journey planner — shares one cache and one stats ledger.  The
+    engine's lifetime is the network's, and its backend is the one
+    ``$REPRO_KERNEL`` (else the default) named when it was built; a
+    caller that wants another backend builds its own
+    ``SearchEngine(network, kernel=...)``.
     """
     engine = getattr(network, "_search_engine", None)
     if engine is None:
-        engine = SearchEngine(network, kernel=kernel)
+        engine = SearchEngine(network)
         network._search_engine = engine  # type: ignore[attr-defined]
-    elif kernel is not None:
-        engine.set_kernel(kernel)
     return engine

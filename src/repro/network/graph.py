@@ -290,16 +290,6 @@ class RoadNetwork:
         original_ids = [keep[orig] for orig in inner_keep]
         return network, original_ids
 
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle support for process fan-out: the shared
-        :class:`~repro.network.engine.SearchEngine` (attached lazily by
-        :func:`~repro.network.engine.engine_for`) holds caches and stats
-        that must stay per-process, so it is dropped from the snapshot
-        and rebuilt lazily in the receiving process."""
-        state = dict(self.__dict__)
-        state.pop("_search_engine", None)
-        return state
-
     def __repr__(self) -> str:
         return f"RoadNetwork(|V|={self.num_nodes}, |E|={self.num_edges})"
 

@@ -7,8 +7,8 @@ delegates every primitive search to a :class:`SearchKernel` backend.
 the dense primitives on scipy's compiled csgraph Dijkstra over the
 CSR's numpy views, with the query balls of Algorithm 2 run as
 tile-local dense calls.  Both obey the relaxation-order contract
-documented in :mod:`.base` — results are bit-identical, so backends are
-interchangeable mid-run without invalidating engine caches.
+documented in :mod:`.base` — results are bit-identical, so the choice
+of backend changes speed, never a result.
 
 ``vectorized`` is the default: it is faster on every benchmark city
 and at paper scale, the query balls included (Chicago at 1.0: 3.2-3.7 s
@@ -17,17 +17,17 @@ against 13-16 s for ``python`` per Algorithm 2 run, 2-core x86 box).
 compare against.
 
 Architecture note: nothing outside ``network/engine.py`` may import
-from this package (reprolint rule RL009).  Callers pick a backend by
-*name* — via ``EBRRConfig.kernel``, ``--kernel``, or the
-``REPRO_KERNEL`` environment variable — and the engine re-exports
-:func:`available_kernels` / :func:`resolve_kernel` for anything that
-needs to validate a name.
+from this package (reprolint rule RL009).  A backend is picked by
+*name* where an engine is built — ``SearchEngine(network,
+kernel=...)``, else the ``REPRO_KERNEL`` environment variable — and the
+engine re-exports :func:`available_kernels` / :func:`resolve_kernel`
+for anything that needs to validate a name.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Type, Union
+from typing import Dict, List, Type, Union
 
 from ...exceptions import ConfigurationError
 from .base import SearchKernel

@@ -1,4 +1,4 @@
-"""Vectorized CSR backend, the default ``--kernel``.
+"""Vectorized CSR backend, the default search kernel.
 
 ``VectorizedKernel`` replaces the per-node heap loop of the dense
 primitives (``sssp`` — single-source, multi-source and bounded — the

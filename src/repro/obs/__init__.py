@@ -15,12 +15,7 @@ snapshots, ``eval/timing`` stopwatch sinks, the perf-counter pairs in
   gauges, histograms) absorbs engine search counters so a trace carries
   the same totals as ``--profile-searches``;
 * **exporters** — Chrome trace-event JSON (``chrome://tracing`` /
-  Perfetto), JSONL, and a deterministic text summary tree;
-* **cross-process collection** — pool workers ship
-  :class:`~repro.obs.collect.TraceShard`\\ s back to the parent, so a
-  :func:`~repro.parallel.sweep.sweep_plans` run over 4 workers produces
-  one trace with per-worker lanes and metric totals equal to the sum
-  of the workers' own.
+  Perfetto), JSONL, and a deterministic text summary tree.
 
 Quickstart::
 
@@ -33,7 +28,6 @@ Quickstart::
 """
 
 from .clock import now, stopwatch, timed
-from .collect import TraceShard, begin_worker_trace, drain_shard, merge_shard, worker_lane
 from .export import (
     chrome_trace,
     load_chrome_trace,
@@ -51,13 +45,11 @@ from .trace import (
     Span,
     Trace,
     current_trace,
-    default_lane,
     disable,
     enable,
     extract_run,
     iter_tree,
     phase_timings,
-    set_default_lane,
     span,
     traced,
     tracing,
@@ -82,17 +74,10 @@ __all__ = [
     "NULL_SPAN",
     "PLAN_PHASES",
     "SEARCH_STAT_FIELDS",
-    "set_default_lane",
-    "default_lane",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TraceShard",
-    "begin_worker_trace",
-    "drain_shard",
-    "merge_shard",
-    "worker_lane",
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

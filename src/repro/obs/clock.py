@@ -6,13 +6,7 @@ the baseline timing dicts, the experiment harness, and every trace span
 of :mod:`repro.obs.trace`.  ``time.perf_counter()`` appears exactly once
 in ``src/`` (here); the RL008 lint rule enforces that everything else
 goes through these helpers, so there is a single timing implementation
-to reason about (resolution, monotonicity, cross-process comparability).
-
-``perf_counter`` reads the system-wide monotonic clock on every major
-platform (``CLOCK_MONOTONIC`` on Linux/macOS, ``QPC`` on Windows), so
-readings taken in different processes of the same run are directly
-comparable — the property the cross-process span collection of
-:mod:`repro.obs.collect` relies on.
+to reason about (resolution, monotonicity).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The Chrome format is the `trace-event` JSON object form — open the file
 in ``chrome://tracing`` or https://ui.perfetto.dev to get a zoomable
-timeline with one track per process lane.  Spans are complete ("X")
+timeline with one track per lane.  Spans are complete ("X")
 events in microseconds; the span/parent buffer indices ride along in
 ``args`` so :func:`load_chrome_trace` can rebuild the exact tree (and
 ``repro trace summarize`` can re-render it) without interval-containment

@@ -6,12 +6,8 @@ engine's :class:`~repro.network.engine.SearchStats` blocks fold into
 ordinary counters via :meth:`MetricsRegistry.absorb_search_stats`, so a
 trace export carries the same totals as ``--profile-searches``.
 
-Everything here is plain data: registries serialize with
-:meth:`MetricsRegistry.as_dict` / :meth:`MetricsRegistry.from_dict`
-(the cross-process shard contract of :mod:`repro.obs.collect`) and
-merge deterministically with :meth:`MetricsRegistry.merge` — counters
-and histograms add, gauges keep the incoming value (last write wins,
-matching what a serial run would have recorded last).
+Everything here is plain data: :meth:`MetricsRegistry.as_dict` is the
+sorted snapshot the trace exporters write.
 """
 
 from __future__ import annotations
@@ -55,8 +51,7 @@ class Histogram:
     """Streaming summary of an observed distribution.
 
     Tracks ``count`` / ``total`` / ``min`` / ``max`` — enough for the
-    summary tree and for deterministic cross-process merging without
-    keeping every observation.
+    summary tree without keeping every observation.
     """
 
     __slots__ = ("name", "count", "total", "min", "max")
@@ -134,7 +129,7 @@ class MetricsRegistry:
             self.absorb_search_stats(phase, stats)
 
     # ------------------------------------------------------------------
-    # Serialization + merging (the cross-process contract)
+    # Serialization
     # ------------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
@@ -148,36 +143,6 @@ class MetricsRegistry:
                 if h.count
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        for name, value in data.get("counters", {}).items():
-            registry.counter(name).inc(value)
-        for name, value in data.get("gauges", {}).items():
-            registry.gauge(name).set(value)
-        for name, summary in data.get("histograms", {}).items():
-            histogram = registry.histogram(name)
-            histogram.count = int(summary["count"])
-            histogram.total = float(summary["total"])
-            histogram.min = float(summary["min"])
-            histogram.max = float(summary["max"])
-        return registry
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry: counters and histograms
-        add, gauges take the incoming value."""
-        for name, counter in other.counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other.gauges.items():
-            if gauge.value is not None:
-                self.gauge(name).set(gauge.value)
-        for name, histogram in other.histograms.items():
-            mine = self.histogram(name)
-            mine.count += histogram.count
-            mine.total += histogram.total
-            mine.min = min(mine.min, histogram.min)
-            mine.max = max(mine.max, histogram.max)
 
     def names(self) -> Iterable[str]:
         """Every metric name, sorted, across all kinds."""

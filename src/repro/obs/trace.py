@@ -3,8 +3,8 @@
 A :class:`Span` is one timed region of work — a name, a start reading
 of :func:`repro.obs.clock.now`, a duration, free-form attributes, and a
 parent link — appended to the flat buffer of a :class:`Trace`.  Parent
-links are buffer indices, so a trace pickles, merges, and exports
-without object graphs.
+links are buffer indices, so a trace slices and exports without object
+graphs.
 
 One module-global trace can be *enabled*; :func:`span` writes into it.
 When no trace is enabled, :func:`span` returns a shared no-op handle
@@ -12,11 +12,9 @@ without reading the clock or allocating — the disabled cost is one
 global load and one ``is None`` check per call site (gated below 3% of
 the phase-breakdown workload by ``benchmarks/bench_trace_overhead.py``).
 
-Each trace carries a *lane* label ("main" in the parent process,
-``worker-<pid>`` in pool workers — see :mod:`repro.obs.collect`), which
-becomes the thread track in the Chrome trace export, so a 4-worker
-:func:`~repro.parallel.sweep.sweep_plans` run renders as one timeline
-with five lanes.
+Each trace carries a *lane* label (``"main"`` by default, ``"serve"``
+for the daemon's per-request traces), which becomes the thread track in
+the Chrome trace export.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ class Span:
         duration: elapsed seconds (0.0 while still open).
         index: this span's position in its trace buffer.
         parent: buffer index of the enclosing span, ``None`` for roots.
-        lane: process lane the span was recorded in.
+        lane: lane of the trace the span was recorded in.
         attrs: free-form attributes (JSON-serializable values).
     """
 
@@ -118,8 +116,7 @@ class Trace:
     """One run's span buffer plus its metrics registry.
 
     Args:
-        lane: lane label stamped on spans recorded here; defaults to
-            the process default (see :func:`set_default_lane`).
+        lane: lane label stamped on spans recorded here.
         clock: the time source (injectable for deterministic tests and
             golden exports; defaults to the monotonic clock).
     """
@@ -127,12 +124,12 @@ class Trace:
     def __init__(
         self,
         *,
-        lane: Optional[str] = None,
+        lane: str = "main",
         clock: Callable[[], float] = now,
     ) -> None:
         self.spans: List[Span] = []
         self.metrics = MetricsRegistry()
-        self.lane = lane if lane is not None else _DEFAULT_LANE
+        self.lane = lane
         self._clock = clock
         self._stack: List[int] = []
 
@@ -159,10 +156,6 @@ class Trace:
     def current_span(self) -> Optional[Span]:
         """The innermost open span, if any."""
         return self.spans[self._stack[-1]] if self._stack else None
-
-    def open_depth(self) -> int:
-        """How many spans are currently open (0 at tree boundaries)."""
-        return len(self._stack)
 
     def children(self, parent_index: Optional[int]) -> List[Span]:
         """Direct children of the given span index (``None`` = roots)."""
@@ -211,19 +204,6 @@ def phase_timings(spans: List[Span], root_index: int = 0) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 
 _ACTIVE: Optional[Trace] = None
-_DEFAULT_LANE = "main"
-
-
-def set_default_lane(lane: str) -> None:
-    """Set the lane label new traces in this process default to.  Pool
-    initializers call this with ``worker-<pid>`` so shards from every
-    start method (fork or spawn) land in distinguishable lanes."""
-    global _DEFAULT_LANE
-    _DEFAULT_LANE = lane
-
-
-def default_lane() -> str:
-    return _DEFAULT_LANE
 
 
 def enable(trace: Optional[Trace] = None) -> Trace:

@@ -6,7 +6,7 @@ plan/update/journey requests from resident state —
 
 * :mod:`repro.serve.registry` — multi-tenant dataset registry: per
   tenant, the shared :class:`~repro.network.engine.SearchEngine` (with
-  configured kernel and bounded cache capacity), the resident
+  bounded cache capacity), the resident
   Algorithm 2 preprocessing, the default plan, and the journey planner,
   all repaired incrementally on demand updates;
 * :mod:`repro.serve.admission` — bounded in-flight concurrency with a

@@ -5,9 +5,8 @@ request from warm state.  A :class:`Tenant` is one resident dataset
 together with everything expensive the planner derives from it:
 
 * the shared :class:`~repro.network.engine.SearchEngine` (row/point
-  LRU caches, label fields) attached to the network, with the
-  configured kernel and an optional explicit cache capacity so the
-  long-lived process has bounded memory;
+  LRU caches, label fields) attached to the network, with an optional
+  explicit cache capacity so the long-lived process has bounded memory;
 * the Algorithm 2 :class:`~repro.core.preprocess.PreprocessResult`
   (``nn_distance``/``rnn``/``initial_utility``), computed once and
   repaired *incrementally* by :func:`~repro.core.update.
@@ -58,8 +57,6 @@ class TenantSpec:
         max_adjacent_cost: default ``C`` likewise.
         alpha: utility trade-off; ``None`` calibrates it from the
             dataset exactly as the CLI does.
-        kernel: search-kernel backend name (``None`` = resolved
-            default).
         cache_capacity: explicit engine LRU row-cache bound (``None``
             keeps the engine default) — the daemon's memory cap.
         seed: dataset generation seed override (``None`` = the city's
@@ -71,7 +68,6 @@ class TenantSpec:
     max_stops: int = 20
     max_adjacent_cost: float = 2.0
     alpha: Optional[float] = None
-    kernel: Optional[str] = None
     cache_capacity: Optional[int] = None
     seed: Optional[int] = None
 
@@ -95,9 +91,7 @@ class Tenant:
             spec.alpha if spec.alpha is not None else calibrated_alpha(self.dataset)
         )
         self.instance: BRRInstance = self.dataset.instance(self.alpha)
-        self.engine: SearchEngine = engine_for(
-            self.instance.network, kernel=spec.kernel
-        )
+        self.engine: SearchEngine = engine_for(self.instance.network)
         if spec.cache_capacity is not None:
             self.engine.set_cache_capacity(spec.cache_capacity)
         self.preprocess: Optional[PreprocessResult] = None
@@ -126,8 +120,6 @@ class Tenant:
                 else max_adjacent_cost
             ),
             alpha=self.alpha,
-            kernel=spec.kernel,
-            cache_capacity=spec.cache_capacity,
         )
 
     # -- warm state ----------------------------------------------------

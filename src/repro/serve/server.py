@@ -71,6 +71,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(raw_length) if raw_length is not None else 0
         except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would wait for the client to close the
+            # connection, holding a handler thread; and with no usable
+            # length the body cannot be framed, so the connection ends.
+            self.close_connection = True
             return None, (400, {"error": "malformed Content-Length header"})
         if length > MAX_BODY_BYTES:
             # Drain what the client already put on the wire before
@@ -106,13 +112,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
             data = b'{"error": "internal server error"}'
         # One write: sent apart, the body waits for the client's delayed
         # ACK of the headers (Nagle), ~40 ms on a keep-alive connection.
+        # A reply that ends the connection says so, or a keep-alive
+        # client sends its next request into the closed socket.
         self.log_request(status)
         head = (
             f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
             f"Server: {self.version_string()}\r\n"
             f"Date: {self.date_time_string()}\r\n"
             "Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + f"Content-Length: {len(data)}\r\n\r\n"
         )
         self.wfile.write(head.encode("latin-1") + data)
 
@@ -126,11 +135,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"{type(exc).__name__}: {exc}",
                 file=sys.stderr,
             )
+            self.close_connection = True
             try:
                 self._respond(500, {"error": "internal server error"})
             except OSError:
                 pass  # client already gone
-            self.close_connection = True
 
 
 def create_server(

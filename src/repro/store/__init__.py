@@ -7,9 +7,9 @@ per run, the append-only ``bench_series`` imported from each gated
 
 Writers opt in through ``$REPRO_STORE`` (a database path): the bench
 drivers (via ``benchmarks/_common.emit_bench``),
-:func:`repro.parallel.sweep.sweep_plans` (one row per swept config),
-:func:`repro.eval.runner.run_planners` (one row per planner), and the
-obs trace exporters all record through :func:`store_from_env`.
+:func:`repro.eval.runner.run_planners` (one row per planner), the
+serve daemon (one row per request), and the obs trace exporters all
+record through :func:`store_from_env`.
 Readers go through ``repro query`` (:mod:`repro.store.query`) and the
 trajectory exporter (:mod:`repro.store.bench`), which rebuilds the
 committed ``BENCH_trajectory.json`` byte-for-byte; CI's regression gate

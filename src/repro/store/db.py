@@ -3,7 +3,7 @@
 One :class:`RunStore` wraps one SQLite database holding the repo's
 entire experimental record:
 
-* ``runs`` — one row per planner/sweep/bench execution, keyed by the
+* ``runs`` — one row per planner run or served request, keyed by the
   tuple the evaluation grid varies over: config hash, seed, dataset,
   git revision (plus a ``kind``/``name`` pair saying which driver wrote
   it);
@@ -25,9 +25,9 @@ over an unchanged database.
 
 Opt-in is environment-driven: set ``$REPRO_STORE`` to a database path
 and every instrumented writer (bench drivers via
-``benchmarks/_common.emit_bench``, :func:`repro.parallel.sweep.sweep_plans`,
-:func:`repro.eval.runner.run_planners`, the obs trace exporters)
-records what it did; leave it unset and nothing touches disk.
+``benchmarks/_common.emit_bench``, :func:`repro.eval.runner.run_planners`,
+the serve daemon, the obs trace exporters) records what it did; leave
+it unset and nothing touches disk.
 """
 
 from __future__ import annotations

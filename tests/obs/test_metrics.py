@@ -1,4 +1,6 @@
-"""The typed metrics registry: semantics, serialization, merging."""
+"""The typed metrics registry: semantics and serialization."""
+
+import json
 
 import pytest
 
@@ -62,36 +64,24 @@ class TestSearchStatsAbsorption:
 
 class TestSerialization:
     def test_as_dict_round_trips(self):
+        # The exporters write as_dict() as JSON; reading it back must
+        # give the same snapshot.
         registry = MetricsRegistry()
         registry.counter("a").inc(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h").observe(2.0)
         registry.histogram("h").observe(4.0)
-        clone = MetricsRegistry.from_dict(registry.as_dict())
-        assert clone.as_dict() == registry.as_dict()
+        snapshot = registry.as_dict()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert snapshot["histograms"]["h"] == {
+            "count": 2, "total": 6.0, "min": 2.0, "max": 4.0
+        }
 
     def test_as_dict_is_sorted_and_stable(self):
         registry = MetricsRegistry()
         registry.counter("zeta").inc()
         registry.counter("alpha").inc()
         assert list(registry.as_dict()["counters"]) == ["alpha", "zeta"]
-
-    def test_merge_semantics(self):
-        ours = MetricsRegistry()
-        ours.counter("c").inc(2)
-        ours.gauge("g").set(1)
-        ours.histogram("h").observe(1.0)
-        theirs = MetricsRegistry()
-        theirs.counter("c").inc(3)
-        theirs.counter("new").inc(1)
-        theirs.gauge("g").set(9)
-        theirs.histogram("h").observe(5.0)
-        ours.merge(theirs)
-        assert ours.counter("c").value == 5
-        assert ours.counter("new").value == 1
-        assert ours.gauge("g").value == 9  # last write wins
-        h = ours.histogram("h")
-        assert (h.count, h.total, h.min, h.max) == (2, 6.0, 1.0, 5.0)
 
     def test_names_spans_all_kinds(self):
         registry = MetricsRegistry()

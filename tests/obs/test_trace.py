@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.obs as obs
 from repro.obs import (
     NULL_SPAN,
     PLAN_PHASES,
@@ -38,7 +37,7 @@ class TestTraceStructure:
         assert names["child"].parent == names["root"].index
         assert names["grandchild"].parent == names["child"].index
         assert names["sibling"].parent == names["root"].index
-        assert trace.open_depth() == 0
+        assert trace.current_span() is None
 
     def test_durations_nest(self, fake_clock):
         trace = Trace(clock=fake_clock)
@@ -62,7 +61,7 @@ class TestTraceStructure:
         (work,) = trace.spans
         assert work.attrs["error"] == "ValueError"
         assert work.duration == 1.0
-        assert trace.open_depth() == 0
+        assert trace.current_span() is None
 
     def test_extract_run_rebases_to_self_contained(self, fake_clock):
         trace = Trace(clock=fake_clock)
@@ -143,12 +142,11 @@ class TestGlobalTrace:
         assert trace.spans[0].name.endswith("work")
 
     def test_default_lane_stamps_new_traces(self):
-        obs.set_default_lane("worker-test")
-        try:
-            assert Trace().lane == "worker-test"
-        finally:
-            obs.set_default_lane("main")
-        assert Trace().lane == "main"
+        with tracing() as trace, span("work"):
+            pass
+        assert trace.lane == "main"
+        assert [s.lane for s in trace.spans] == ["main"]
+        assert Trace(lane="serve").begin("request").span.lane == "serve"
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +179,7 @@ def test_span_tree_invariants(forest):
         record(trace, clock, tree, name=f"root{i}")
 
     spans = trace.spans
-    assert trace.open_depth() == 0
+    assert trace.current_span() is None
     by_index = {s.index: s for s in spans}
     assert sorted(by_index) == list(range(len(spans)))
 

@@ -360,20 +360,3 @@ class TestBatchQueryRowsCases:
         assert max(
             size for i, size in enumerate(settled) if i not in outliers
         ) < n // 10
-
-
-@settings(max_examples=15, deadline=None)
-@given(network=cities(), seed=st.integers(0, 10 ** 6))
-def test_kernel_swap_preserves_cache_correctness(network, seed):
-    """set_kernel keeps the caches: a row computed by one backend and
-    served to the other is exactly what the other would have computed
-    (the contract makes the cache backend-agnostic)."""
-    engine = SearchEngine(network, kernel="python")
-    source = seed % network.num_nodes
-    row_python = engine.sssp(source)
-    engine.set_kernel("vectorized")
-    assert engine.kernel_name == "vectorized"
-    cached = engine.sssp(source)
-    assert cached is row_python  # same object: the cache survived
-    fresh = engine.sssp(source, cached=False)
-    assert fresh == row_python

@@ -103,15 +103,15 @@ class TestStrategyEquivalence:
     def test_ebrr_result_bit_identical(self, kernel, seed):
         """The full planner is bit-identical on the oracle's
         preprocessing: same route, same path, same metric floats."""
-        config = EBRRConfig(
-            max_stops=8, max_adjacent_cost=2.0, alpha=5.0, kernel=kernel
-        )
+        config = EBRRConfig(max_stops=8, max_adjacent_cost=2.0, alpha=5.0)
         instance = _instance("sprawl", seed)
-        oracle = per_query_preprocess(
-            instance, engine=SearchEngine(instance.network, kernel=kernel)
+        engine = SearchEngine(instance.network, kernel=kernel)
+        oracle = per_query_preprocess(instance, engine=engine)
+        pq = plan_route(instance, config, preprocess=oracle, engine=engine)
+        fresh = _instance("sprawl", seed)
+        inv = plan_route(
+            fresh, config, engine=SearchEngine(fresh.network, kernel=kernel)
         )
-        pq = plan_route(instance, config, preprocess=oracle)
-        inv = plan_route(_instance("sprawl", seed), config)
         assert pq.route.stops == inv.route.stops
         assert pq.route.path == inv.route.path
         assert pq.metrics == inv.metrics

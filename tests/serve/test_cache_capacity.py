@@ -1,5 +1,5 @@
-"""Explicit engine cache capacity: config knob, engine enforcement,
-and daemon-level accounting under a request stream.
+"""Explicit engine cache capacity: engine enforcement and daemon-level
+accounting under a request stream (the tenant's ``cache_capacity``).
 
 The service tests use a *private* dataset shape (a scale no other serve
 module loads) so capping this tenant's engine never perturbs the shared
@@ -8,8 +8,7 @@ engine the rest of the suite rides on.
 
 import pytest
 
-from repro.core import EBRRConfig
-from repro.exceptions import ConfigurationError, GraphError
+from repro.exceptions import GraphError
 from repro.network.engine import SearchEngine
 from repro.network.generators import grid_city
 from repro.serve import TenantSpec
@@ -63,31 +62,6 @@ class TestEngineCapacity:
         capped.set_cache_capacity(1)
         for source in (0, 7, 13, 7, 0):
             assert capped.sssp(source) == reference.sssp(source)
-
-
-class TestConfigKnob:
-    def test_config_validates_capacity(self):
-        base = dict(max_stops=10, max_adjacent_cost=2.0)
-        assert EBRRConfig(**base).cache_capacity is None
-        assert EBRRConfig(**base, cache_capacity=8).cache_capacity == 8
-        with pytest.raises(ConfigurationError):
-            EBRRConfig(**base, cache_capacity=0)
-
-    def test_plan_route_applies_capacity(self):
-        from repro.core import plan_route
-        from repro.datasets import load_city
-        from repro.eval.experiments import calibrated_alpha
-
-        dataset = load_city(CITY, scale=PRIVATE_SCALE)
-        alpha = calibrated_alpha(dataset)
-        instance = dataset.instance(alpha)
-        engine = SearchEngine(instance.network)
-        config = EBRRConfig(
-            max_stops=10, max_adjacent_cost=2.0, alpha=alpha, cache_capacity=5
-        )
-        plan_route(instance, config, engine=engine)
-        assert engine.cache_capacity == 5
-        assert engine.cache_info().rows <= 5
 
 
 class TestServedCapacity:

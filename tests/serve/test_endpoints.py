@@ -8,6 +8,7 @@ leaks its internals.
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -255,3 +256,22 @@ class TestTransport:
         finally:
             conn.close()
         assert elapsed < 0.4
+
+    def test_negative_content_length_is_400_not_a_hang(self, live):
+        # rfile.read(-1) reads until the client closes; this client keeps
+        # the connection open, so only an immediate reply passes.
+        request = (
+            "POST /v1/plan HTTP/1.1\r\n"
+            f"Host: 127.0.0.1:{live.port}\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: -1\r\n\r\n{}"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", live.port), timeout=5) as sock:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+        assert response.status == 400
+        assert body["error"] == "malformed Content-Length header"
+        # The unframed body ends the connection, and the reply says so.
+        assert response.getheader("Connection") == "close"

@@ -1,68 +1,10 @@
-"""Store recording by the instrumented writers: sweeps and planner runs."""
+"""Store recording by the instrumented writers: planner runs."""
 
 import pytest
 
 from repro.core.config import EBRRConfig
 from repro.eval.runner import default_planners, run_planners
-from repro.parallel.sweep import sweep_plans
-from repro.store import RunStore, config_hash
-
-
-def _configs(ks):
-    return [
-        EBRRConfig(max_stops=k, max_adjacent_cost=4.0, alpha=1.0) for k in ks
-    ]
-
-
-class TestSweepRecording:
-    def test_one_row_per_config(self, toy_instance, tmp_path):
-        configs = _configs([3, 4])
-        with RunStore(tmp_path / "runs.db") as store:
-            results = sweep_plans(
-                toy_instance, configs, store=store, dataset="toy"
-            )
-            rows = store.runs(kind="sweep")
-            assert [r["name"] for r in rows] == ["sweep-0", "sweep-1"]
-            assert all(r["dataset"] == "toy" for r in rows)
-            assert [r["config_hash"] for r in rows] == [
-                config_hash(c) for c in configs
-            ]
-            metrics = {
-                m["metric"]: m["value"]
-                for m in store.metrics(run_id=rows[1]["id"])
-            }
-        assert metrics["K"] == 4.0
-        assert metrics["workers"] == 1.0
-        assert metrics["utility"] == pytest.approx(results[1].metrics.utility)
-        assert metrics["feasible"] in ("true", "false")
-        assert any(key.startswith("time.") for key in metrics)
-        assert any(key.startswith("search.") for key in metrics)
-
-    def test_parallel_sweep_records_in_parent(self, toy_instance, tmp_path):
-        configs = _configs([3, 4])
-        with RunStore(tmp_path / "runs.db") as store:
-            sweep_plans(
-                toy_instance, configs, workers=2, store=store, dataset="toy"
-            )
-            rows = store.runs(kind="sweep")
-            metrics = {
-                m["metric"]: m["value"]
-                for m in store.metrics(run_id=rows[0]["id"])
-            }
-        assert len(rows) == 2
-        assert metrics["workers"] == 2.0
-
-    def test_env_var_opts_in(self, toy_instance, tmp_path, monkeypatch):
-        db = tmp_path / "runs.db"
-        monkeypatch.setenv("REPRO_STORE", str(db))
-        sweep_plans(toy_instance, _configs([4]), dataset="toy")
-        with RunStore(db) as store:
-            assert len(store.runs(kind="sweep")) == 1
-
-    def test_no_store_records_nothing(self, toy_instance, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        results = sweep_plans(toy_instance, _configs([4]))
-        assert len(results) == 1  # recording is a no-op, planning is not
+from repro.store import RunStore
 
 
 class TestPlannerRecording:
