@@ -2,12 +2,14 @@
 
 The practitioner loop the paper motivates (tune K/C/alpha, re-plan,
 inspect) re-runs the pipeline on an unchanged road network.  With the
-shared ``SearchEngine``, the second and later runs serve their
-Christofides ordering rows and refinement paths from the LRU cache and
-reuse the Algorithm 2 preprocessing, so only the selection phase does
-fresh work.  This bench measures that gap: a cold sweep (fresh engine
-and fresh preprocessing per K) against a warm sweep (one shared engine,
-preprocessing computed once), and records the cache hit rate.
+shared ``SearchEngine``, the second and later runs reuse the Algorithm
+2 preprocessing and serve from the LRU cache the SSSP rows of stops an
+earlier run selected (selection's ``dist(·, B)`` folds and the
+Christofides ordering share them) and the refinement paths, so fresh
+searches are left for stops no earlier run picked and for paths no
+earlier run took.  This bench measures that gap: a cold sweep (fresh
+engine and fresh preprocessing per K) against a warm sweep (one shared
+engine, preprocessing computed once), and records the cache hit rate.
 """
 
 from __future__ import annotations

@@ -91,8 +91,10 @@ class SelectionState:
       ``inf`` at nodes that hold no query);
     * ``covered_mask`` — the union route bitmask of ``B`` for O(1)
       marginal connectivity;
-    * ``dist_to_b`` — network distance from every node to ``B``
-      (incremental pruned Dijkstra), feeding the true price;
+    * ``dist_to_b`` — network distance from every node to ``B``, the
+      minimum of the selected stops' cached SSSP rows, feeding the true
+      price.  A stop's row is folded in when a price is next read, so
+      the stops refinement commits and the last pick cost no search;
     * the Algorithm 4 lower-bound price structure.
     """
 
@@ -145,7 +147,7 @@ class SelectionState:
 
     def true_price(self, stop: int) -> int:
         """``p(stop, B)`` from the maintained network distance to B."""
-        distance = self.dist_to_b.distance[stop]
+        distance = float(self.dist_to_b.distance[stop])
         if not math.isfinite(distance):
             raise InfeasibleRouteError(
                 f"stop {stop} cannot reach the selected set — disconnected network"

@@ -8,6 +8,7 @@ The benchmarks in ``benchmarks/`` are thin wrappers around these.
 from __future__ import annotations
 
 import math
+import statistics
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -392,6 +393,10 @@ ABLATION_VARIANTS: Dict[str, Dict[str, bool]] = {
 }
 
 
+#: Timed runs per ablation cell; ``time_s`` is their median.
+_ABLATION_REPEATS = 3
+
+
 def ablation_study(
     dataset: CityDataset,
     ks: Sequence[int],
@@ -403,10 +408,12 @@ def ablation_study(
     """Run EBRR variants (Figs. 15/16): one row per (K, variant) with
     time, utility, number of stops, and evaluation counts.
 
-    Each timed run plans on its own :class:`SearchEngine`, so no variant
-    reuses distance rows an earlier one cached, and one untimed plan
-    before the loop takes the process's cold start off the first cell:
-    ``time_s`` compares the variants, not their run order."""
+    Each cell is planned three times, each run on its own
+    :class:`SearchEngine` so no run reuses distance rows an earlier one
+    cached, and ``time_s`` is the median run.  One untimed plan before
+    the loop takes the process's cold start off the first cell:
+    ``time_s`` compares the variants, not their run order or one noisy
+    reading."""
     chosen = list(variants) if variants is not None else [
         "EBRR", "w/o filtered queue", "w/o path refinement"
     ]
@@ -429,15 +436,19 @@ def ablation_study(
                 alpha=alpha,
                 **overrides,  # type: ignore[arg-type]
             )
-            result = plan_route(
-                instance, config, engine=SearchEngine(instance.network)
-            )
+            results = [
+                plan_route(instance, config, engine=SearchEngine(instance.network))
+                for _ in range(_ABLATION_REPEATS)
+            ]
+            result = results[0]
             rows.append(
                 {
                     "dataset": dataset.name,
                     "K": k,
                     "variant": variant,
-                    "time_s": result.timings["total"],
+                    "time_s": statistics.median(
+                        run.timings["total"] for run in results
+                    ),
                     "utility": result.metrics.utility,
                     "num_stops": result.metrics.num_stops,
                     "evaluations": result.trace.evaluations,

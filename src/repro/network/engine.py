@@ -716,7 +716,9 @@ class SearchEngine:
 
     def incremental_nearest(self, *, phase: str = "adhoc") -> "IncrementalNearest":
         """A fresh nearest-distance-to-a-growing-set maintainer (the
-        EBRR ``dist(·, B)`` structure), accounted to ``phase``."""
+        EBRR ``dist(·, B)`` structure): the minimum of its sources'
+        cached :meth:`sssp` rows, folded when read and accounted to
+        ``phase``."""
         self._sync()
         return IncrementalNearest(self, phase)
 
@@ -725,51 +727,52 @@ class IncrementalNearest:
     """Nearest-distance-to-a-growing-set maintenance on the engine.
 
     Maintains ``distance[v] = min over s in S of dist(v, s)`` for a set
-    ``S`` that only grows.  The first source's distances are its
-    :meth:`SearchEngine.sssp` row: on an empty set the pruned fold
-    prunes nothing, so it is exactly that row (the fixed-point argument
-    of :meth:`SearchEngine._repair_label_field`), and the row comes from
-    the active kernel and the engine's cache.  Each later source runs
-    one Dijkstra from it, pruned wherever the tentative cost is no
-    better than the known distance.  Both searches are accounted to the
-    engine's stats.  EBRR uses it to keep every candidate stop's
-    distance to the current solution set ``B`` (the price function)
-    without re-running searches.
+    ``S`` that only grows, as the pointwise minimum of the sources'
+    :meth:`SearchEngine.sssp` rows — bit-identical to a multi-source
+    search, whose fixed point is that minimum (the argument of
+    :meth:`SearchEngine._repair_label_field`).  :meth:`add_source` only
+    records a source; the next read of :attr:`distance` folds the
+    pending ones in, one cached row each, accounted to the engine's
+    stats under the phase.  A source no later read needs costs nothing,
+    and a folded row stays in the engine's LRU for later ``sssp``
+    callers (Christofides ordering, later plans).  EBRR keeps every
+    candidate stop's distance to the solution set ``B`` (the price
+    function) in one.
     """
 
     def __init__(self, engine: SearchEngine, phase: str) -> None:
         self._engine = engine
         self._phase = phase
-        self.distance: List[float] = [INF] * engine.csr.num_nodes
+        self._distance = np.full(engine.csr.num_nodes, INF)
         self._sources: List[int] = []
+        self._pending: List[int] = []
 
     @property
     def sources(self) -> List[int]:
         """The sources added so far, in insertion order (a copy)."""
         return list(self._sources)
 
-    def add_source(self, source: int) -> List[int]:
-        """Add ``source`` to the set and relax distances; returns the
-        nodes whose distance improved (for the first source, every
-        reachable node in ``(dist, node)`` order)."""
-        dist = self.distance
-        if not self._sources:
-            dist[:] = self._engine.sssp(source, phase=self._phase)
-            self._sources.append(source)
-            row = np.asarray(dist)
-            reached = np.argsort(row, kind="stable")
-            return reached[: np.count_nonzero(row < INF)].tolist()
-        if dist[source] <= 0.0:
-            self._sources.append(source)
-            return []
-        csr = self._engine.csr
-        stats = self._engine.counters(self._phase)
-        improved = self._engine.kernel.incremental_relax(csr, source, dist, stats)
+    def add_source(self, source: int) -> None:
+        """Add ``source`` to the set; its row is folded in on the next
+        read of :attr:`distance`."""
         self._sources.append(source)
-        return improved
+        self._pending.append(source)
+
+    @property
+    def distance(self) -> np.ndarray:
+        """``min over s in S of dist(v, s)`` per node, as a float64
+        array (``inf`` where no source reaches); folds the pending
+        sources first.  Owned by this object — **read-only**."""
+        if self._pending:
+            dist = self._distance
+            for source in self._pending:
+                row = self._engine.sssp(source, phase=self._phase)
+                np.minimum(dist, row, out=dist)
+            self._pending.clear()
+        return self._distance
 
     def __getitem__(self, node: int) -> float:
-        return self.distance[node]
+        return float(self.distance[node])
 
 
 def engine_for(network: RoadNetwork) -> SearchEngine:

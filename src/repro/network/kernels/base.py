@@ -4,12 +4,12 @@ A kernel is the *algorithmic substrate* under
 :class:`~repro.network.engine.SearchEngine`: it runs the primitive
 searches (full/bounded SSSP, multi-source, point-to-point distance and
 path, nearest-by-predicate, the Algorithm 2 query search, cost balls,
-and the incremental nearest-set relaxation) over one
-:class:`~repro.network.csr.CSRAdjacency` snapshot and accounts its work
-to a caller-supplied :class:`~repro.network.engine.SearchStats` block.
-Everything *above* the kernel — the LRU caches, the per-phase stats
-ledger, snapshot invalidation, the public API — lives in the engine and
-is backend-independent.
+and the pruned nearest-source relaxation that repairs a label field)
+over one :class:`~repro.network.csr.CSRAdjacency` snapshot and accounts
+its work to a caller-supplied :class:`~repro.network.engine.SearchStats`
+block.  Everything *above* the kernel — the LRU caches, the per-phase
+stats ledger, snapshot invalidation, the public API — lives in the
+engine and is backend-independent.
 
 The relaxation-order contract
 -----------------------------
@@ -183,10 +183,13 @@ class SearchKernel(Protocol):
         distance: List[float],
         stats: "SearchStats",
     ) -> List[int]:
-        """One pruned relaxation of the incremental nearest-set
-        structure: fold ``source`` into ``distance`` (mutated in place),
-        returning the nodes whose distance improved, in settle order.
-        The caller guarantees ``distance[source] > 0``."""
+        """One pruned relaxation of a nearest-source field: fold
+        ``source`` into ``distance`` (mutated in place), returning the
+        nodes whose distance improved, in settle order.  The caller
+        guarantees ``distance[source] > 0``.  Its one caller is the
+        label-field repair (``SearchEngine._repair_label_field``);
+        selection's ``dist(·, B)`` takes the minimum of cached SSSP rows
+        instead, which gives the same doubles."""
         ...
 
     def multi_source_labels(

@@ -38,10 +38,13 @@ Why the results are bit-identical to the reference heapq Dijkstra
   ``base``): this backend reports the settled+fringe node count.
 
 Early-terminating primitives (``path``, ``distance``, ``nearest``,
-``query_search``, ``incremental_relax``) are inherited from the python
-backend unchanged: they stop at the first qualifying settled node, an
-inherently sequential condition, and they visit a sublinear slice of
-the graph where batched relaxation has nothing to amortise.
+``query_search``) are inherited from the python backend unchanged: they
+stop at the first qualifying settled node, an inherently sequential
+condition, and they visit a sublinear slice of the graph where batched
+relaxation has nothing to amortise.  So is the pruned
+``incremental_relax``, whose one caller is the label-field repair;
+selection's ``dist(·, B)`` folds cached ``sssp`` rows from this backend
+instead.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ import pytest
 from repro.core.config import EBRRConfig
 from repro.core.ebrr import evaluate_route, plan_route
 from repro.core.preprocess import preprocess_queries
+from repro.datasets import load_city
+from repro.eval.experiments import ABLATION_VARIANTS, calibrated_alpha
 from repro.exceptions import InfeasibleRouteError
+from repro.network.engine import SearchStats
 from repro.transit.route import BusRoute
 
 from ..conftest import V1, V2, V3, V4, V5
@@ -195,3 +198,30 @@ class TestSearchStats:
             < first.search_stats["ordering"].settled
             or first.search_stats["ordering"].settled == 0
         )
+
+
+@pytest.fixture(scope="module")
+def chicago_small():
+    dataset = load_city("chicago", scale=0.06)
+    alpha = calibrated_alpha(dataset)
+    instance = dataset.instance(alpha)
+    return instance, alpha, preprocess_queries(instance)
+
+
+class TestPriceFolds:
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    @pytest.mark.parametrize("k, c", [(6, 1.5), (10, 2.0), (16, 3.0)])
+    def test_selection_folds_only_priced_stops(self, chicago_small, variant, k, c):
+        """``dist(·, B)`` requests one row per selected stop that a later
+        price read: the seed and every pick but the last.  The last pick
+        and refinement's commits fold nothing."""
+        instance, alpha, pre = chicago_small
+        config = EBRRConfig(
+            max_stops=k,
+            max_adjacent_cost=c,
+            alpha=alpha,
+            **ABLATION_VARIANTS[variant],
+        )
+        result = plan_route(instance, config, preprocess=pre)
+        stats = result.search_stats.get("selection", SearchStats())
+        assert stats.searches + stats.cache_hits == len(result.trace.selected) - 1

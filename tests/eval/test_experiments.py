@@ -144,6 +144,24 @@ class TestAblation:
             utilities["EBRR"], rel=0.25
         )
 
+    def test_time_is_median_of_fresh_engine_runs(self, city, alpha, monkeypatch):
+        from repro.eval import experiments
+
+        plan_route = experiments.plan_route
+        engines = []
+        readings = iter([9.0, 0.3, 0.1, 0.2])  # the warm-up, then one cell
+
+        def timed(instance, config, *, engine):
+            engines.append(engine)
+            result = plan_route(instance, config, engine=engine)
+            timings = dict(result.timings, total=next(readings))
+            return dataclasses.replace(result, timings=timings)
+
+        monkeypatch.setattr(experiments, "plan_route", timed)
+        rows = ablation_study(city, [6], alpha=alpha, variants=["EBRR"])
+        assert rows[0]["time_s"] == 0.2
+        assert len(set(map(id, engines))) == 4
+
     def test_unknown_variant_rejected(self, city, alpha):
         with pytest.raises(ConfigurationError, match="unknown"):
             ablation_study(city, [6], alpha=alpha, variants=["nope"])

@@ -16,6 +16,7 @@ from repro import (
     DemandError,
     EBRRConfig,
     GraphError,
+    InfeasibleRouteError,
     ReproError,
     TransitError,
     plan_route,
@@ -98,6 +99,33 @@ class TestAdversarialGraphs:
         config = EBRRConfig(max_stops=2, max_adjacent_cost=1.5, alpha=1.0)
         result = plan_route(instance, config)
         assert set(result.route.stops) <= {0, 1}
+
+    def _two_chains(self):
+        """Two 10-node unit chains 50 km apart (nodes 0-9 and 10-19),
+        with an existing stop at the head of each."""
+        coords = [(float(i), 0.0) for i in range(10)]
+        coords += [(float(i), 50.0) for i in range(10)]
+        edges = [(i, i + 1, 1.0) for i in range(9)]
+        edges += [(i, i + 1, 1.0) for i in range(10, 19)]
+        return RoadNetwork(coords, edges, validate_connected=False)
+
+    def test_disconnected_demand_in_both_components_raises(self):
+        network = self._two_chains()
+        instance = self._instance(network, [0, 10], [6, 7, 8, 9, 16, 17, 18, 19])
+        config = EBRRConfig(max_stops=4, max_adjacent_cost=2.5, alpha=1.0)
+        with pytest.raises(
+            InfeasibleRouteError,
+            match="stop 17 cannot reach the selected set — disconnected network",
+        ):
+            plan_route(instance, config)
+
+    def test_disconnected_demand_in_one_component_plans_inside_it(self):
+        network = self._two_chains()
+        instance = self._instance(network, [0, 10], [5, 6, 7, 8, 9])
+        config = EBRRConfig(max_stops=4, max_adjacent_cost=2.5, alpha=1.0)
+        result = plan_route(instance, config)
+        assert result.route.stops == (8, 7, 6, 5)
+        assert set(result.route.path) <= set(range(10))
 
 
 class TestDegenerateDemand:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.exceptions import GraphError
-from repro.network.engine import engine_for
+from repro.network.engine import SearchEngine, engine_for
 
 from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 
@@ -173,22 +173,34 @@ class TestIncrementalNearest:
             added.append(source)
             # Bit-identical: the fixed point of a multi-source search is
             # the pointwise minimum of the single-source ones.
-            assert incremental.distance == engine.multi_source(added)
+            assert incremental.distance.tolist() == engine.multi_source(added)
 
-    def test_improved_nodes_reported(self, line_network):
-        incremental = engine_for(line_network).incremental_nearest()
-        first = incremental.add_source(0)
-        assert sorted(first) == [0, 1, 2, 3, 4, 5]
-        second = incremental.add_source(5)
-        # Only the right half improves (distances 2,1,0 beat 3,4,5).
-        assert sorted(second) == [3, 4, 5]
+    def test_add_source_is_lazy(self, line_network):
+        engine = SearchEngine(line_network)
+        incremental = engine.incremental_nearest(phase="lazy")
+        base = engine.snapshot()
+        cache = engine.cache_info()
+        incremental.add_source(0)
+        incremental.add_source(5)
+        # Recording a source runs no search and touches no cache entry.
+        assert engine.stats_since(base) == {}
+        assert engine.cache_info() == cache
+        # The first read folds both pending rows: one request each.
+        assert incremental.distance.tolist() == [0.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+        folded = engine.stats_since(base)
+        assert set(folded) == {"lazy"}
+        assert folded["lazy"].searches + folded["lazy"].cache_hits == 2
+        # A second read has nothing left to fold.
+        after = engine.snapshot()
+        assert incremental.distance.tolist() == [0.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+        assert engine.stats_since(after) == {}
 
     def test_duplicate_source_is_noop(self, toy_network):
         incremental = engine_for(toy_network).incremental_nearest()
         incremental.add_source(V1)
-        before = list(incremental.distance)
-        assert incremental.add_source(V1) == []
-        assert incremental.distance == before
+        before = incremental.distance.tolist()
+        incremental.add_source(V1)
+        assert incremental.distance.tolist() == before
 
     def test_sources_property(self, toy_network):
         incremental = engine_for(toy_network).incremental_nearest()

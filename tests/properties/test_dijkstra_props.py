@@ -7,7 +7,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.engine import engine_for
+from repro.network.engine import (
+    SearchEngine,
+    SearchStats,
+    available_kernels,
+    engine_for,
+)
 from repro.network.graph import RoadNetwork
 
 
@@ -91,7 +96,31 @@ def test_incremental_equals_multi_source(network, seed):
     incremental = engine.incremental_nearest()
     for s in sources:
         incremental.add_source(s)
-    assert incremental.distance == engine.multi_source(sources)
+    assert incremental.distance.tolist() == engine.multi_source(sources)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    network=connected_networks(),
+    seeds=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+)
+@pytest.mark.parametrize("kernel", available_kernels())
+def test_row_minimum_equals_pruned_fold_oracle(kernel, network, seeds):
+    """``dist(·, B)`` as the minimum of cached SSSP rows is bit-identical,
+    after every added source, to the pruned heapq fold of the reference
+    kernel (the structure's earlier implementation), on either backend."""
+    n = network.num_nodes
+    oracle = SearchEngine(network, kernel="python")
+    expected = [math.inf] * n
+    incremental = SearchEngine(network, kernel=kernel).incremental_nearest()
+    for seed in seeds:
+        source = seed % n
+        if expected[source] > 0.0:  # the fold's precondition
+            oracle.kernel.incremental_relax(
+                oracle.csr, source, expected, SearchStats()
+            )
+        incremental.add_source(source)
+        assert incremental.distance.tolist() == expected
 
 
 @settings(max_examples=30, deadline=None)

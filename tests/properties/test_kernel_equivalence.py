@@ -212,8 +212,9 @@ def test_incremental_nearest_bit_identical(network, seed):
     incv = ev.incremental_nearest(phase="inc")
     for k in range(4):
         source = (seed // (k + 1)) % n
-        assert incp.add_source(source) == incv.add_source(source)
-        assert incp.distance == incv.distance
+        incp.add_source(source)
+        incv.add_source(source)
+        assert incp.distance.tolist() == incv.distance.tolist()
     assert incp.sources == incv.sources
     assert invariant_counters(ep, "inc") == invariant_counters(ev, "inc")
 
