@@ -134,12 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-capacity", type=int, default=None,
                        help="bound each tenant engine's LRU row cache "
                             "(daemon memory cap; default: engine default)")
-    serve.add_argument("--max-inflight", type=int, default=None,
-                       help="admitted-request concurrency bound (default: "
-                            "$REPRO_SERVE_MAX_INFLIGHT, then 4)")
     serve.add_argument("--max-queued", type=int, default=16,
-                       help="requests allowed to wait for a slot; beyond "
-                            "this the daemon sheds with 429")
+                       help="requests allowed to wait for the planning "
+                            "core, which runs one at a time; beyond this "
+                            "the daemon sheds with 429")
     serve.add_argument("--deadline", type=float, default=30.0,
                        help="default per-request deadline in seconds "
                             "(503 when exceeded while queued)")
@@ -394,14 +392,8 @@ def _cmd_serve(args) -> int:
         port = args.port if args.port is not None else env_int(
             "REPRO_SERVE_PORT", 8080
         )
-        max_inflight = (
-            args.max_inflight
-            if args.max_inflight is not None
-            else env_int("REPRO_SERVE_MAX_INFLIGHT", 4)
-        )
         warm = False if args.no_warm else env_bool("REPRO_SERVE_WARM", True)
         admission = AdmissionController(
-            max_inflight=max_inflight,
             max_queued=args.max_queued,
             default_timeout_s=args.deadline,
         )
@@ -429,7 +421,7 @@ def _cmd_serve(args) -> int:
     bound_port = server.server_address[1]
     print(f"serving {', '.join(registry.names())} on "
           f"http://{args.host}:{bound_port} "
-          f"(max-inflight {max_inflight}, max-queued {args.max_queued}, "
+          f"(max-queued {args.max_queued}, "
           f"deadline {args.deadline:g}s)")
     sys.stdout.flush()
 

@@ -7,8 +7,11 @@ Pipeline::
 
 :func:`plan_route` wires the phases together, times each one, assembles
 the final :class:`~repro.transit.route.BusRoute`, evaluates its exact
-metrics, and records any Definition 8 constraint violation (possible
-only when refinement is disabled for the ablation).
+metrics, and records any Definition 8 constraint violation: a leg
+longer than C that refinement could not split, because no eligible
+stop lies within C along it (C below the road edges' costs, or a
+sparse ``S_new``), or any long leg when refinement is disabled for the
+ablation.
 """
 
 from __future__ import annotations

@@ -36,10 +36,3 @@ def is_zero(value: float, *, abs_tol: float = ABS_TOL) -> bool:
     own helper.
     """
     return abs(value) <= abs_tol
-
-
-def sign(value: float, *, abs_tol: float = ABS_TOL) -> int:
-    """-1, 0, or +1 with the zero band widened to ``abs_tol``."""
-    if is_zero(value, abs_tol=abs_tol):
-        return 0
-    return 1 if value > 0 else -1

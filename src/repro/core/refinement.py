@@ -48,9 +48,10 @@ def refine_path(
         adjacent costs ``<= C``) and the road node path through them.
 
     Raises:
-        InfeasibleRouteError: if two adjacent stops cannot be linked
-            under ``C`` because no eligible stop location exists along
-            the way (cannot happen with dense candidates).
+        InfeasibleRouteError: if ``order`` is empty.  A leg with no
+            eligible stop within ``C`` along it (an edge longer than
+            ``C``, or a sparse ``S_new``) is kept whole instead, and the
+            driver records the violation on the final route.
     """
     if not order:
         raise InfeasibleRouteError("cannot refine an empty visiting order")
@@ -115,11 +116,11 @@ def _link(
             if eligible(node):
                 best = i
         if best is None:
-            # The candidate set is too sparse to host an intermediate
-            # stop on this leg (only possible with an explicit, sparse
-            # S_new — dense candidates always provide one).  Emit the
-            # leg as-is; the driver records the C violation on the
-            # final route instead of failing the whole plan.
+            # No eligible stop within max_cost of the anchor: the next
+            # road edge is longer than max_cost, or the nodes in reach
+            # are used or not in S_new.  Emit the rest of the leg
+            # as-is; the driver records the C violation on the final
+            # route instead of failing the whole plan.
             break
         stops.append(road_path[best])
         segments.append(road_path[anchor : best + 1])

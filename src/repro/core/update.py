@@ -15,10 +15,7 @@ The update runs in time proportional to the *changed* demand, not the
 whole multiset — the benchmark shows the gap against full recomputation.
 The added-node searches therefore run the paper's per-query search
 (:func:`~repro.core.preprocess.query_search_rows`), whose cost scales
-with the number of added nodes; a *full* re-preprocess after stop
-additions still reuses the engine's cached label field via incremental
-repair (see
-:meth:`~repro.network.engine.SearchEngine.multi_source_labels`).
+with the number of added nodes.
 """
 
 from __future__ import annotations

@@ -1,22 +1,21 @@
 """The unified search engine: one entry point for the Dijkstra family.
 
-Every EBRR phase (Algorithm 2 preprocessing, the bounded T2 searches of
-the selection loop, Christofides ordering, path refinement), every
-baseline, and the multimodal journey planner used to run its own raw
-``heapq`` loop over :meth:`RoadNetwork.neighbors`.  Identical
-single-source searches were therefore recomputed across phases and
-across K/Q sweeps — exactly the redundancy the paper's filtered/lazy
-machinery exists to avoid.  :class:`SearchEngine` replaces all of that
-with a single owned, cacheable, observable substrate:
+Every EBRR phase (Algorithm 2 preprocessing, selection's prices,
+Christofides ordering, path refinement), every baseline, and the
+multimodal journey planner search on :class:`SearchEngine`, so
+identical single-source searches are not recomputed across phases or
+across K/Q sweeps — the redundancy the paper's filtered/lazy machinery
+exists to avoid.  It is a single owned, cacheable, observable
+substrate:
 
 * searches iterate a flat :class:`~repro.network.csr.CSRAdjacency`
   built once per network snapshot (invalidated automatically when the
   graph's :attr:`~repro.network.graph.RoadNetwork.version` changes);
 * full and cost-bounded SSSP rows are memoised in an LRU cache keyed
-  ``(source, max_cost)`` (multi-source rows and point-to-point paths
-  have their own keys), so a K sweep that re-orders the same selected
-  stops, or a baseline that re-traces the same OD pair, reuses the
-  earlier row instead of re-searching;
+  ``(source, max_cost)`` (multi-source rows, label fields, cost balls,
+  point-to-point paths and distances have their own keys), so a K sweep
+  that re-orders the same selected stops, or a baseline that re-traces
+  the same OD pair, reuses the earlier row instead of re-searching;
 * every call is accounted to a :class:`SearchStats` block under a
   caller-chosen *phase* label, surfacing searches run, cache hits,
   nodes settled, heap pushes, and truncations per logical phase (the
@@ -24,12 +23,13 @@ with a single owned, cacheable, observable substrate:
   :attr:`~repro.core.result.EBRRResult.search_stats`);
 * the *algorithms* live one layer down, in the pluggable backends of
   :mod:`repro.network.kernels`: the engine owns caching, stats and
-  snapshot invalidation and delegates every primitive search to a
-  :class:`~repro.network.kernels.base.SearchKernel` (``python`` heapq
-  reference or scipy ``vectorized``).  The backend is chosen once,
-  where the engine is built: ``SearchEngine(network, kernel=...)``,
-  else ``$REPRO_KERNEL``, else the default.  Backends are bit-identical
-  by contract, so the choice changes speed, never a result.
+  snapshot invalidation and delegates each of the eight primitive
+  searches to a :class:`~repro.network.kernels.base.SearchKernel`
+  (``python`` heapq reference or scipy ``vectorized``).  The backend
+  is chosen once, where the engine is built: ``SearchEngine(network,
+  kernel=...)``, else ``$REPRO_KERNEL``, else the default.  Backends
+  are bit-identical by contract, so the choice changes speed, never a
+  result.
 
 Results returned from cached entries are the cached objects themselves:
 **treat every returned list as read-only.**
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -183,9 +183,8 @@ class LabelField:
     lexicographically smallest source id over tight shortest paths to
     ``v`` (``-1`` when unreachable).  Cached on the engine keyed by
     ``sources`` (the sorted, deduplicated stop-set fingerprint), so
-    repeated preprocessing over the same stops — or a grown stop set,
-    via incremental repair — reuses the field.  Shared with the cache:
-    **treat ``distance`` and ``label`` as read-only.**
+    repeated preprocessing over the same stops reuses the field.  Shared
+    with the cache: **treat ``distance`` and ``label`` as read-only.**
 
     Attributes:
         sources: the fingerprint — sorted unique source node ids.
@@ -321,9 +320,6 @@ class SearchEngine:
         for stats in self._stats.values():
             total = total + stats
         return total
-
-    def reset_stats(self) -> None:
-        self._stats.clear()
 
     def cache_info(self) -> CacheInfo:
         info = replace(self._info)  # a snapshot, so before/after pairs compare
@@ -467,24 +463,11 @@ class SearchEngine:
         self._put(self._points, key, result, 4 * self._cache_size)
         return result
 
-    def distance(
-        self,
-        source: int,
-        target: int,
-        *,
-        upper_bound: Optional[float] = None,
-        phase: str = "adhoc",
-    ) -> float:
-        """Network distance between two nodes with target early stop.
-        Served from a cached SSSP row when one exists; ``inf`` when
-        ``upper_bound`` is given and the true distance exceeds it.
-
-        The point cache stores one entry per ``(source, target)`` pair,
-        never per bound: a *true* distance (learned from an unbounded
-        search, or a bounded one that reached the target) answers every
-        future bound by comparison on read, and a bounded search that
-        ran out of budget records the bound as a lower-bound marker so
-        repeats of the same (or a smaller) bound skip the search."""
+    def distance(self, source: int, target: int, *, phase: str = "adhoc") -> float:
+        """Network distance between two nodes with target early stop
+        (``inf`` when unreachable).  Served from a cached SSSP row when
+        one exists, else from the point cache, which keeps one entry
+        per ``(source, target)`` pair."""
         if source == target:
             return 0.0
         self._sync()
@@ -494,57 +477,14 @@ class SearchEngine:
             self._rows.move_to_end(("sssp", source, None))
             self._info.hits += 1
             stats.cache_hits += 1
-            d = full[target]  # type: ignore[index]
-            if upper_bound is not None and d > upper_bound:
-                return INF
-            return d
+            return full[target]  # type: ignore[index]
         key = ("dist", source, target)
-        entry = self._points.get(key)
-        known_floor: Optional[float] = None
-        if isinstance(entry, float):
-            # The true distance: apply the bound on read.
-            self._points.move_to_end(key)
-            self._info.hits += 1
-            stats.cache_hits += 1
-            if upper_bound is not None and entry > upper_bound:
-                return INF
-            return entry
+        entry = self._get(self._points, key, stats)
         if entry is not None:
-            # ("lb", floor): the true distance is known to exceed floor.
-            known_floor = entry[1]  # type: ignore[index]
-            if upper_bound is not None and upper_bound <= known_floor:
-                self._points.move_to_end(key)
-                self._info.hits += 1
-                stats.cache_hits += 1
-                return INF
-        self._info.misses += 1
-        result = self._kernel.distance(self._csr, source, target, upper_bound, stats)
-        if result != INF or upper_bound is None:
-            # A finite result — or an unbounded miss (truly unreachable)
-            # — is the pair's true distance; cache it once for any bound.
-            self._put(self._points, key, result, 4 * self._cache_size)
-        else:
-            floor = upper_bound if known_floor is None else max(known_floor, upper_bound)
-            self._put(self._points, key, ("lb", floor), 4 * self._cache_size)
+            return entry  # type: ignore[return-value]
+        result = self._kernel.distance(self._csr, source, target, stats)
+        self._put(self._points, key, result, 4 * self._cache_size)
         return result
-
-    def nearest(
-        self,
-        source: int,
-        is_target: Callable[[int], bool],
-        *,
-        phase: str = "adhoc",
-    ) -> Tuple[int, float]:
-        """Settle outward from ``source`` until a node satisfying
-        ``is_target`` is found; by the Dijkstra property the first one
-        settled is the nearest (uncached — the predicate is opaque).
-
-        Raises:
-            GraphError: if no target node is reachable.
-        """
-        self._sync()
-        stats = self.counters(phase)
-        return self._kernel.nearest(self._csr, source, is_target, stats)
 
     def query_search(
         self,
@@ -577,19 +517,9 @@ class SearchEngine:
     ) -> "LabelField":
         """The nearest-source :class:`LabelField` of ``sources`` (one
         multi-source search plus a label post-pass; see the kernel
-        contract in ``kernels.base``).
-
-        Fields are cached keyed on the stop-set fingerprint (the sorted
-        unique sources).  On a miss, a cached field over a *subset* of
-        the requested sources is **incrementally repaired** instead of
-        recomputed: each added source is folded in with the pruned
-        ``incremental_relax`` primitive — the multi-source fixed point
-        is the pointwise minimum of the single-source ones, so the
-        repaired distances are bit-identical to a fresh sweep — and the
-        labels are re-derived as a pure post-pass over the repaired
-        field.  This is the warm-state reuse continuous replanning
-        leans on when stops are added between runs.
-        """
+        contract in ``kernels.base``), cached keyed on the stop-set
+        fingerprint (the sorted unique sources).  A miss runs one fresh
+        multi-source search."""
         self._sync()
         stats = self.counters(phase)
         fingerprint = tuple(sorted(set(sources)))
@@ -598,10 +528,6 @@ class SearchEngine:
             entry = self._get(self._rows, key, stats)
             if entry is not None:
                 return entry  # type: ignore[return-value]
-            repaired = self._repair_label_field(fingerprint, stats)
-            if repaired is not None:
-                self._put(self._rows, key, repaired, self._cache_size)
-                return repaired
         distance, label = self._kernel.multi_source_labels(
             self._csr, list(fingerprint), stats
         )
@@ -611,38 +537,6 @@ class SearchEngine:
         if cached:
             self._put(self._rows, key, field, self._cache_size)
         return field
-
-    def _repair_label_field(
-        self, fingerprint: Tuple[int, ...], stats: SearchStats
-    ) -> Optional["LabelField"]:
-        """Grow the largest cached strict-subset field to ``fingerprint``
-        by incremental relaxation (bit-identical to a fresh sweep)."""
-        want = set(fingerprint)
-        best: Optional[Tuple[int, ...]] = None
-        for key in self._rows:
-            if key[0] != "labels":
-                continue
-            cached_fp = key[1]
-            if len(cached_fp) < len(fingerprint) and want.issuperset(cached_fp):
-                if best is None or len(cached_fp) > len(best):
-                    best = cached_fp
-        if best is None or not best:
-            return None
-        base: LabelField = self._rows[("labels", best)]  # type: ignore[assignment]
-        self._rows.move_to_end(("labels", best))
-        self._info.hits += 1
-        stats.cache_hits += 1
-        distance = list(base.distance)
-        have = set(best)
-        for s in fingerprint:
-            if s not in have and distance[s] > 0.0:
-                self._kernel.incremental_relax(self._csr, s, distance, stats)
-        distance, label = self._kernel.multi_source_labels(
-            self._csr, list(fingerprint), stats, distance=distance
-        )
-        return LabelField(
-            fingerprint, distance, label, sum(1 for d in distance if d != INF)
-        )
 
     def label_forward_distances(
         self,
@@ -729,8 +623,8 @@ class IncrementalNearest:
     Maintains ``distance[v] = min over s in S of dist(v, s)`` for a set
     ``S`` that only grows, as the pointwise minimum of the sources'
     :meth:`SearchEngine.sssp` rows — bit-identical to a multi-source
-    search, whose fixed point is that minimum (the argument of
-    :meth:`SearchEngine._repair_label_field`).  :meth:`add_source` only
+    search, whose fixed point is that minimum (DESIGN.md, "Incremental
+    ``dist(·, B)``").  :meth:`add_source` only
     records a source; the next read of :attr:`distance` folds the
     pending ones in, one cached row each, accounted to the engine's
     stats under the phase.  A source no later read needs costs nothing,

@@ -1,11 +1,13 @@
 """The ``SearchKernel`` protocol: the primitive-search contract.
 
 A kernel is the *algorithmic substrate* under
-:class:`~repro.network.engine.SearchEngine`: it runs the primitive
-searches (full/bounded SSSP, multi-source, point-to-point distance and
-path, nearest-by-predicate, the Algorithm 2 query search, cost balls,
-and the pruned nearest-source relaxation that repairs a label field)
-over one :class:`~repro.network.csr.CSRAdjacency` snapshot and accounts
+:class:`~repro.network.engine.SearchEngine`: it runs the eight primitive
+searches that plans reach — full/bounded and multi-source SSSP (prices,
+Christofides ordering), point-to-point path and distance and cost balls
+(refinement, post-processing), the Algorithm 2 query search (the
+per-query oracle) and its batched inverted form (label field, forward
+replay, query balls) — over one
+:class:`~repro.network.csr.CSRAdjacency` snapshot and accounts
 its work to a caller-supplied :class:`~repro.network.engine.SearchStats`
 block.  Everything *above* the kernel — the LRU caches, the per-phase
 stats ledger, snapshot invalidation, the public API — lives in the
@@ -89,7 +91,7 @@ on all three synthetic city families.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..csr import CSRAdjacency
@@ -97,7 +99,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 
 class SearchKernel(Protocol):
-    """The primitive searches every backend implements.
+    """The eight primitive searches every backend implements.
 
     All methods take the CSR snapshot and the stats block explicitly —
     kernels are stateless and shareable across engines; per-network
@@ -134,23 +136,10 @@ class SearchKernel(Protocol):
         csr: "CSRAdjacency",
         source: int,
         target: int,
-        upper_bound: Optional[float],
         stats: "SearchStats",
     ) -> float:
         """Point-to-point distance with target early stop; ``inf`` when
-        ``upper_bound`` is exceeded."""
-        ...
-
-    def nearest(
-        self,
-        csr: "CSRAdjacency",
-        source: int,
-        is_target: Callable[[int], bool],
-        stats: "SearchStats",
-    ) -> Tuple[int, float]:
-        """First settled node satisfying ``is_target`` and its distance;
-        raises :class:`~repro.exceptions.GraphError` when none is
-        reachable."""
+        ``target`` is unreachable."""
         ...
 
     def query_search(
@@ -176,39 +165,18 @@ class SearchKernel(Protocol):
         ``source``, in settle order, excluding ``source``."""
         ...
 
-    def incremental_relax(
-        self,
-        csr: "CSRAdjacency",
-        source: int,
-        distance: List[float],
-        stats: "SearchStats",
-    ) -> List[int]:
-        """One pruned relaxation of a nearest-source field: fold
-        ``source`` into ``distance`` (mutated in place), returning the
-        nodes whose distance improved, in settle order.  The caller
-        guarantees ``distance[source] > 0``.  Its one caller is the
-        label-field repair (``SearchEngine._repair_label_field``);
-        selection's ``dist(·, B)`` takes the minimum of cached SSSP rows
-        instead, which gives the same doubles."""
-        ...
-
     def multi_source_labels(
         self,
         csr: "CSRAdjacency",
         sources: Sequence[int],
         stats: "SearchStats",
-        distance: Optional[List[float]] = None,
     ) -> Tuple[List[float], List[int]]:
         """The nearest-source field: ``(distance, label)`` lists where
         ``distance[v]`` is the multi-source shortest-path cost from any
         source (one search, bit-identical to :meth:`sssp`) and
         ``label[v]`` is the **lexicographically smallest source id over
         tight shortest paths** to ``v`` (``-1`` when unreachable) — a
-        pure post-pass over the converged field, so a repaired field
-        yields the same labels as a fresh one by construction.  With
-        ``distance`` supplied (an already-converged field for exactly
-        these sources, e.g. after an incremental repair), the search is
-        skipped and only the labels are derived; no counters move."""
+        pure post-pass over the converged field."""
         ...
 
     def forward_replay(

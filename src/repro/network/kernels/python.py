@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...exceptions import GraphError
 
@@ -141,7 +141,6 @@ class PythonKernel:
         csr: "CSRAdjacency",
         source: int,
         target: int,
-        upper_bound: Optional[float],
         stats: "SearchStats",
     ) -> float:
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
@@ -153,13 +152,9 @@ class PythonKernel:
             d, u = heapq.heappop(heap)
             if d > dist.get(u, INF):
                 continue
-            if u == target:
-                stats.settled += 1
-                return d
-            if upper_bound is not None and d > upper_bound:
-                stats.truncated += 1
-                return INF
             stats.settled += 1
+            if u == target:
+                return d
             for i in range(indptr[u], indptr[u + 1]):
                 v = targets[i]
                 nd = d + costs[i]
@@ -168,34 +163,6 @@ class PythonKernel:
                     heapq.heappush(heap, (nd, v))
                     stats.pushes += 1
         return INF
-
-    def nearest(
-        self,
-        csr: "CSRAdjacency",
-        source: int,
-        is_target: Callable[[int], bool],
-        stats: "SearchStats",
-    ) -> Tuple[int, float]:
-        indptr, targets, costs = csr.indptr, csr.targets, csr.costs
-        dist: Dict[int, float] = {source: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        stats.searches += 1
-        stats.pushes += 1
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, INF):
-                continue
-            stats.settled += 1
-            if is_target(u):
-                return u, d
-            for i in range(indptr[u], indptr[u + 1]):
-                v = targets[i]
-                nd = d + costs[i]
-                if nd < dist.get(v, INF):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-                    stats.pushes += 1
-        raise GraphError(f"no target reachable from node {source}")
 
     def query_search(
         self,
@@ -269,14 +236,11 @@ class PythonKernel:
         csr: "CSRAdjacency",
         sources: Sequence[int],
         stats: "SearchStats",
-        distance: Optional[List[float]] = None,
     ) -> Tuple[List[float], List[int]]:
         source_list = sorted(set(sources))
-        if distance is None:
-            distance = self.sssp(csr, source_list, None, stats)
+        dist = self.sssp(csr, source_list, None, stats)
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
         n = csr.num_nodes
-        dist = distance
         label = [-1] * n
         for s in source_list:
             label[s] = s
@@ -392,37 +356,3 @@ class PythonKernel:
             stats.settled += len(settled)
             stats.pushes += pushes
         return member_counts, member_nodes, member_dists, settled_out
-
-    def incremental_relax(
-        self,
-        csr: "CSRAdjacency",
-        source: int,
-        distance: List[float],
-        stats: "SearchStats",
-    ) -> List[int]:
-        indptr, targets, costs = csr.indptr, csr.targets, csr.costs
-        dist = distance
-        improved: List[int] = []
-        local: Dict[int, float] = {source: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        stats.searches += 1
-        stats.pushes += 1
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > local.get(u, INF):
-                continue
-            if d >= dist[u]:
-                # everything beyond u through this path is already
-                # dominated by an earlier source
-                continue
-            dist[u] = d
-            improved.append(u)
-            stats.settled += 1
-            for i in range(indptr[u], indptr[u + 1]):
-                v = targets[i]
-                nd = d + costs[i]
-                if nd < local.get(v, INF) and nd < dist[v]:
-                    local[v] = nd
-                    heapq.heappush(heap, (nd, v))
-                    stats.pushes += 1
-        return improved

@@ -37,14 +37,11 @@ Why the results are bit-identical to the reference heapq Dijkstra
   converged distance array.  ``pushes`` is backend-defined (see
   ``base``): this backend reports the settled+fringe node count.
 
-Early-terminating primitives (``path``, ``distance``, ``nearest``,
+The early-terminating primitives (``path``, ``distance``,
 ``query_search``) are inherited from the python backend unchanged: they
 stop at the first qualifying settled node, an inherently sequential
 condition, and they visit a sublinear slice of the graph where batched
-relaxation has nothing to amortise.  So is the pruned
-``incremental_relax``, whose one caller is the label-field repair;
-selection's ``dist(·, B)`` folds cached ``sssp`` rows from this backend
-instead.
+relaxation has nothing to amortise.
 """
 
 from __future__ import annotations
@@ -135,17 +132,15 @@ class VectorizedKernel(PythonKernel):
         csr: "CSRAdjacency",
         sources: Sequence[int],
         stats: "SearchStats",
-        distance: Optional[List[float]] = None,
     ) -> Tuple[List[float], List[int]]:
         source_list = sorted(set(sources))
-        if distance is None:
-            if source_list:
-                # One multi-source sweep: a single compiled csgraph call
-                # (min_only), bit-identical per the sssp contract.
-                distance = self.sssp(csr, source_list, None, stats)
-            else:
-                stats.searches += 1  # the reference empty-heap search
-                distance = [INF] * csr.num_nodes
+        if source_list:
+            # One multi-source sweep: a single compiled csgraph call
+            # (min_only), bit-identical per the sssp contract.
+            distance = self.sssp(csr, source_list, None, stats)
+        else:
+            stats.searches += 1  # the reference empty-heap search
+            distance = [INF] * csr.num_nodes
         return distance, _derive_labels(csr, distance, source_list)
 
     def forward_replay(

@@ -9,8 +9,9 @@ plan/update/journey requests from resident state —
   bounded cache capacity), the resident
   Algorithm 2 preprocessing, the default plan, and the journey planner,
   all repaired incrementally on demand updates;
-* :mod:`repro.serve.admission` — bounded in-flight concurrency with a
-  deadline-capped wait queue and 429/503 shedding;
+* :mod:`repro.serve.admission` — the daemon's one queue: one request
+  at a time on the planning core, a deadline-capped wait queue and
+  429/503 shedding;
 * :mod:`repro.serve.api` — the transport-agnostic handlers with
   per-request span trees, JSONL trace export (``--trace-dir``), and
   run rows in the ``$REPRO_STORE`` experiment store;

@@ -1,12 +1,12 @@
-"""Bounded admission for the serve daemon.
+"""Bounded admission for the serve daemon: its one queue.
 
 A long-lived planning service must degrade *gracefully* under load:
 ``ThreadingHTTPServer`` spawns a thread per connection, so without a
 gate an overload turns into an unbounded pile of threads all fighting
 for the one planning core.  The :class:`AdmissionController` is that
-gate — a condition-variable slot counter bounding how many requests
-are *in flight* (admitted and computing) and how many may *wait* for a
-slot, with a per-request deadline while waiting:
+gate and the daemon's only queue — a condition variable that admits
+**one** request at a time to the planning core and lets a bounded
+number *wait* for it, each with a per-request deadline while waiting:
 
 * queue full → reject immediately with **429** (Too Many Requests);
 * deadline expires while queued → reject with **503** (Service
@@ -42,20 +42,20 @@ class AdmissionRejected(ReproError):
 
 
 class QueueFull(AdmissionRejected):
-    """Every in-flight slot busy and the wait queue at capacity."""
+    """The planning core busy and the wait queue at capacity."""
 
     status = 429
 
 
 class DeadlineExceeded(AdmissionRejected):
-    """The request's deadline expired before a slot freed up."""
+    """The request's deadline expired before the planning core freed."""
 
     status = 503
 
 
 class AdmissionTicket:
     """Context-manager handle for one admitted request; exiting the
-    block releases the in-flight slot and wakes one waiter."""
+    block frees the planning core and wakes one waiter."""
 
     __slots__ = ("_controller",)
 
@@ -76,15 +76,13 @@ class AdmissionTicket:
 
 
 class AdmissionController:
-    """Bounded in-flight concurrency with a deadline-capped wait queue.
+    """One request at a time on the planning core, behind a
+    deadline-capped wait queue.
 
     Args:
-        max_inflight: requests allowed to hold an admission slot at
-            once (>= 1).  The compute itself is further serialized on
-            the service's planning lock; this bound caps how much work
-            is *committed*, not how it is scheduled.
-        max_queued: requests allowed to wait for a slot (>= 0).  ``0``
-            sheds every request that cannot be admitted immediately.
+        max_queued: requests allowed to wait for the core (>= 0).
+            ``0`` sheds every request that cannot be admitted
+            immediately.
         default_timeout_s: deadline applied when a request does not
             carry its own ``timeout_s`` (> 0).
     """
@@ -92,14 +90,9 @@ class AdmissionController:
     def __init__(
         self,
         *,
-        max_inflight: int = 4,
         max_queued: int = 16,
         default_timeout_s: float = 30.0,
     ) -> None:
-        if max_inflight < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
         if max_queued < 0:
             raise ConfigurationError(
                 f"max_queued must be >= 0, got {max_queued}"
@@ -108,7 +101,6 @@ class AdmissionController:
             raise ConfigurationError(
                 f"default_timeout_s must be positive, got {default_timeout_s}"
             )
-        self.max_inflight = max_inflight
         self.max_queued = max_queued
         self.default_timeout_s = default_timeout_s
         self._cond = threading.Condition()
@@ -120,31 +112,28 @@ class AdmissionController:
         self._rejected_deadline = 0
 
     def admit(self, timeout_s: Optional[float] = None) -> AdmissionTicket:
-        """Claim an in-flight slot, waiting up to the deadline.
+        """Claim the planning core, waiting up to the deadline.
 
         Returns a ticket to use as a context manager around the
         request's work.
 
         Raises:
-            QueueFull: no slot free and the wait queue is at capacity.
+            QueueFull: the core is busy and the wait queue is at capacity.
             DeadlineExceeded: the deadline expired while waiting.
         """
         if timeout_s is None:
             timeout_s = self.default_timeout_s
         deadline = now() + timeout_s
         with self._cond:
-            if (
-                self._in_flight >= self.max_inflight
-                and self._queued >= self.max_queued
-            ):
+            if self._in_flight and self._queued >= self.max_queued:
                 self._rejected_queue_full += 1
                 raise QueueFull(
-                    f"all {self.max_inflight} slots busy and "
-                    f"{self._queued} requests already queued"
+                    f"planning core busy and {self._queued} requests "
+                    "already queued"
                 )
             self._queued += 1
             try:
-                while self._in_flight >= self.max_inflight:
+                while self._in_flight:
                     remaining = deadline - now()
                     if remaining <= 0:
                         self._rejected_deadline += 1
@@ -154,13 +143,13 @@ class AdmissionController:
                     self._cond.wait(timeout=remaining)
             finally:
                 self._queued -= 1
-            self._in_flight += 1
+            self._in_flight = 1
             self._admitted += 1
         return AdmissionTicket(self)
 
     def _release(self) -> None:
         with self._cond:
-            self._in_flight -= 1
+            self._in_flight = 0
             self._completed += 1
             self._cond.notify()
 
@@ -168,7 +157,6 @@ class AdmissionController:
         """A consistent snapshot of the counters, for ``/v1/stats``."""
         with self._cond:
             return {
-                "max_inflight": self.max_inflight,
                 "max_queued": self.max_queued,
                 "in_flight": self._in_flight,
                 "queued": self._queued,

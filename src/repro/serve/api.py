@@ -18,14 +18,15 @@ glue stays a thin JSON adapter.  The endpoint surface:
 ``GET /healthz``              liveness probe
 ============================  =========================================
 
-**One planning core.**  All compute (plan/update/journey) serializes on
-a single lock: the :mod:`repro.obs` enabled-trace slot is a process
-global and the engine caches are plain dicts, and the workload is
-GIL-bound pure Python anyway, so serializing costs nothing real while
+**One planning core, one queue.**  All compute (plan/update/journey)
+runs one request at a time: the :mod:`repro.obs` enabled-trace slot is
+a process global and the engine caches are plain dicts, and the
+workload is GIL-bound anyway, so serializing costs nothing real while
 making warm-state mutation and per-request tracing trivially safe.
-The admission controller, not thread count, is the concurrency story:
-GET endpoints bypass it entirely (probes must work under load), POST
-endpoints are admitted, deadline-bounded, and shed with 429/503.
+The :class:`~repro.serve.admission.AdmissionController` is both the
+serialization and the daemon's only queue: POST endpoints wait there,
+deadline-bounded, and are shed with 429/503; GET endpoints bypass it
+entirely (probes must work under load).
 
 **Per-request observability.**  Every compute request runs under its
 own request-scoped :class:`~repro.obs.Trace` rooted at a ``request``
@@ -47,13 +48,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ReproError
 from ..obs import Trace, now, span, tracing, write_jsonl
-from .admission import AdmissionController, AdmissionRejected, DeadlineExceeded
+from .admission import AdmissionController, AdmissionRejected
 from .registry import DatasetRegistry, Tenant
 
 JsonDict = Dict[str, Any]
@@ -271,10 +271,6 @@ class PlanService:
         self.trace_dir = trace_dir
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
-        # One planning core: the obs enabled-trace slot is a process
-        # global and warm tenant state is unlocked, so every compute
-        # request runs alone in here (see the module docstring).
-        self._compute_lock = threading.Lock()
         self._request_ids = itertools.count(1)
         self._started = now()
         self._served = 0
@@ -335,31 +331,21 @@ class PlanService:
     ) -> JsonDict:
         tenant = self.registry.get(_payload_str(payload, "dataset"))
         timeout_s = _payload_float(payload, "timeout_s", positive=True)
-        deadline = now() + (
-            timeout_s if timeout_s is not None
-            else self.admission.default_timeout_s
-        )
+        # Admission runs one request at a time (see the module
+        # docstring); the export below runs outside it.
         with self.admission.admit(timeout_s):
-            if not self._compute_lock.acquire(timeout=max(0.0, deadline - now())):
-                raise DeadlineExceeded(
-                    f"planning core busy past the request deadline "
-                    f"({path} on {tenant.name!r})"
-                )
-            try:
-                trace = Trace(lane="serve")
-                started = now()
-                with tracing(trace):
-                    with span(
-                        "request",
-                        request_id=request_id,
-                        endpoint=path,
-                        dataset=tenant.name,
-                    ):
-                        body = handler(tenant, payload)
-                elapsed = now() - started
-                self._served += 1
-            finally:
-                self._compute_lock.release()
+            trace = Trace(lane="serve")
+            started = now()
+            with tracing(trace):
+                with span(
+                    "request",
+                    request_id=request_id,
+                    endpoint=path,
+                    dataset=tenant.name,
+                ):
+                    body = handler(tenant, payload)
+            elapsed = now() - started
+            self._served += 1
         body["request_id"] = request_id
         self._export(trace, request_id, path, tenant, elapsed)
         return body

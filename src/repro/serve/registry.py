@@ -76,9 +76,9 @@ class Tenant:
     """One resident dataset plus its warm planning state.
 
     Mutating entry points (:meth:`apply_update`) and lazy builders are
-    called under the service's planning lock (see
-    :class:`repro.serve.api.PlanService`), so the state here needs no
-    locking of its own.
+    called only by the one request the service's admission controller
+    lets run (see :class:`repro.serve.api.PlanService`), so the state
+    here needs no locking of its own.
     """
 
     def __init__(self, name: str, spec: TenantSpec) -> None:

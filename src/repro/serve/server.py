@@ -8,9 +8,10 @@ exception becomes a bare ``500 {"error": "internal server error"}``
 while the detail goes to the server log.
 
 ``ThreadingHTTPServer`` spawns a thread per connection; the admission
-controller inside the service bounds how many of those may *do work*
-at once, so overload sheds with 429/503 at JSON-parse speed instead of
-piling planning threads (see :mod:`repro.serve.admission`).
+controller inside the service lets one of those *do work* at a time
+and bounds how many wait, so overload sheds with 429/503 at JSON-parse
+speed instead of piling planning threads (see
+:mod:`repro.serve.admission`).
 """
 
 from __future__ import annotations

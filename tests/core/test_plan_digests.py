@@ -7,6 +7,10 @@ that only makes the bookkeeping cheaper passes.  The ablation switch sets
 run on Chicago 0.06, the default set on Chicago 0.2 (the city the
 sweep benchmark plans on).  Chicago only: its grid generator builds the
 same network on every CPU, which NYC's and Orlando's do not yet.
+
+The multi-route cases pin each round of a 3-round ``plan_routes``
+program.  Rounds 2 and 3 add the previous route's stops to the existing
+set, so their Algorithm 2 label field is a miss over a grown stop set.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import pytest
 
 from repro.core.config import EBRRConfig
 from repro.core.ebrr import plan_route
+from repro.core.multi_route import plan_routes
 from repro.core.preprocess import preprocess_queries
 from repro.datasets import load_city
 from repro.eval.experiments import ABLATION_VARIANTS, calibrated_alpha
@@ -38,6 +43,19 @@ DIGESTS = {
     (0.2, "EBRR", 10, 1.5): "193ae1b8ebbe9eab88ad7b54e2ef915e3800bc19ea8b8144f6aa0b7f3e707618",
     (0.2, "EBRR", 25, 2.25): "78a1ab81c40ac8a87dd6324e7cdd7596dc0839951416aee53c45febe9dc43cb4",
     (0.2, "EBRR", 40, 3.0): "ca53ce31a4df983b9c48b897ab636364b5dd83611c59272db1df671af3eac4dc",
+}
+
+MULTI_ROUTE_DIGESTS = {
+    (0.06, 8, 1.5): (
+        "3288676857e4d6b52b5cc7c07e0fd8c7a13a6971af3da38500ce21ded7c2747f",
+        "ae77f4bb29e55263d66c19074b5e6a9186c6baee32e2a341c67fb46508e281ff",
+        "053730391b6eeff5f5c2ff966f0656a535094dcf76f88638b152369d60bd6c4a",
+    ),
+    (0.2, 15, 2.0): (
+        "78d60dbb53f4d23402aca800e9debdab3c214cad5b9414261b8406f368b6677f",
+        "27b40b7a7385085a98643253bf1d82c22bcc5cc2530e294bb6305067580cb89d",
+        "8f44fa60a942f154595647a3fe2f81c147402ef737d4d8cdccae0454402edddd",
+    ),
 }
 
 
@@ -82,3 +100,17 @@ def test_plan_digest(planned, scale, variant, k, c, digest):
         max_stops=k, max_adjacent_cost=c, alpha=alpha, **ABLATION_VARIANTS[variant]
     )
     assert _digest(plan_route(instance, config, preprocess=pre)) == digest
+
+
+@pytest.mark.parametrize(
+    "scale, k, c, digests",
+    [
+        pytest.param(*key, digests, id="-".join(map(str, key)))
+        for key, digests in MULTI_ROUTE_DIGESTS.items()
+    ],
+)
+def test_multi_route_digests(planned, scale, k, c, digests):
+    instance, alpha, _ = planned(scale)
+    config = EBRRConfig(max_stops=k, max_adjacent_cost=c, alpha=alpha)
+    program = plan_routes(instance.transit, instance.queries, config, num_routes=3)
+    assert tuple(_digest(result) for result in program.per_route) == digests

@@ -74,27 +74,6 @@ class TestDistanceBetween:
     def test_same_node(self, toy_network):
         assert engine_for(toy_network).distance(V5, V5) == 0.0
 
-    def test_upper_bound_cutoff(self, toy_network):
-        engine = engine_for(toy_network)
-        assert math.isinf(engine.distance(V1, V5, upper_bound=10.0))
-        assert engine.distance(V1, V5, upper_bound=20.0) == pytest.approx(16.0)
-
-
-class TestSearchToNearest:
-    def test_finds_nearest_target(self, toy_network):
-        node, dist = engine_for(toy_network).nearest(V6, lambda v: v in (V1, V2))
-        assert node == V2
-        assert dist == pytest.approx(7.0)
-
-    def test_source_is_target(self, toy_network):
-        node, dist = engine_for(toy_network).nearest(V2, lambda v: v == V2)
-        assert node == V2
-        assert dist == 0.0
-
-    def test_no_target_raises(self, toy_network):
-        with pytest.raises(GraphError, match="no target"):
-            engine_for(toy_network).nearest(V1, lambda v: False)
-
 
 class TestQueryPreprocessingSearch:
     def _masks(self, toy_network):

@@ -225,13 +225,6 @@ def test_stats_arithmetic():
     assert bool(a) is True
 
 
-def test_reset_stats(engine):
-    engine.sssp(0, phase="x")
-    engine.reset_stats()
-    assert engine.stats == {}
-    assert not engine.total_stats()
-
-
 # ----------------------------------------------------------------------
 # Invalidation on graph mutation
 # ----------------------------------------------------------------------
@@ -276,46 +269,6 @@ def test_engine_for_is_shared_per_network(network):
 
 
 class TestDistancePointCache:
-    def test_one_entry_per_pair_across_bounds(self, network):
-        """Distinct upper bounds must not create distinct entries: the
-        true distance is cached once and bounds apply on read."""
-        engine = SearchEngine(network)
-        true = engine.distance(0, 12)
-        points_after_first = engine.cache_info().points
-        for bound in (true + 1.0, true + 2.0, true + 3.0):
-            assert engine.distance(0, 12, upper_bound=bound) == true
-        assert engine.cache_info().points == points_after_first
-
-    def test_true_distance_answers_tighter_bound(self, network):
-        engine = SearchEngine(network)
-        true = engine.distance(3, 18)
-        misses = engine.cache_info().misses
-        # A bound below the known true distance is answered INF from
-        # the cached float — no new search, no new entry.
-        assert engine.distance(3, 18, upper_bound=true / 2) == math.inf
-        assert engine.cache_info().misses == misses
-
-    def test_bounded_miss_is_not_cached_as_unreachable(self, network):
-        """A bounded search that ran out of budget must not poison the
-        pair as unreachable: a later, larger bound re-searches."""
-        engine = SearchEngine(network)
-        reference = SearchEngine(network).distance(0, 24)
-        assert engine.distance(0, 24, upper_bound=reference / 4) == math.inf
-        assert engine.distance(0, 24, upper_bound=reference + 1.0) == reference
-        assert engine.distance(0, 24) == reference
-
-    def test_lower_bound_marker_short_circuits_repeats(self, network):
-        engine = SearchEngine(network)
-        reference = SearchEngine(network).distance(0, 24)
-        bound = reference / 4
-        assert engine.distance(0, 24, upper_bound=bound) == math.inf
-        misses = engine.cache_info().misses
-        # Repeating the same bound — or a smaller one — is served from
-        # the ("lb", floor) marker without another search.
-        assert engine.distance(0, 24, upper_bound=bound) == math.inf
-        assert engine.distance(0, 24, upper_bound=bound / 2) == math.inf
-        assert engine.cache_info().misses == misses
-
     def test_unbounded_unreachable_is_cached(self):
         coords = [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 0.0)]
         edges = [(0, 1, 1.0), (2, 3, 1.0)]
@@ -324,12 +277,11 @@ class TestDistancePointCache:
         assert engine.distance(0, 3) == math.inf
         misses = engine.cache_info().misses
         assert engine.distance(0, 3) == math.inf  # served from cache
-        assert engine.distance(0, 3, upper_bound=100.0) == math.inf
         assert engine.cache_info().misses == misses
 
 
 # ----------------------------------------------------------------------
-# The label-field cache and its incremental repair
+# The label-field cache
 # ----------------------------------------------------------------------
 
 
@@ -344,20 +296,6 @@ class TestLabelFieldCache:
         # Same set, different order / duplicates: same fingerprint.
         again = engine.multi_source_labels(list(reversed(stops)) + stops[:1])
         assert again is first
-
-    def test_subset_repair_is_bit_identical(self, network):
-        stops = self._stops(network)
-        fresh = SearchEngine(network).multi_source_labels(stops)
-        engine = SearchEngine(network)
-        engine.multi_source_labels(stops[:-2])  # warm a strict subset
-        stats_before = engine.counters("adhoc").copy()
-        repaired = engine.multi_source_labels(stops)
-        assert repaired.distance == fresh.distance
-        assert repaired.label == fresh.label
-        assert repaired.reachable == fresh.reachable
-        # The repair reused the cached field (a cache hit) instead of
-        # re-running the full multi-source search.
-        assert engine.counters("adhoc").cache_hits > stats_before.cache_hits
 
     def test_label_is_nearest_stop_of_query_search(self, network):
         engine = SearchEngine(network)

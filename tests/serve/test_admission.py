@@ -1,4 +1,4 @@
-"""Admission control: bounded in-flight work, queue shedding, deadlines.
+"""Admission control: one request at a time, queue shedding, deadlines.
 
 The unit tests pin the controller's semantics in isolation; the HTTP
 tests then prove the same semantics hold on the wire — a saturated
@@ -7,6 +7,9 @@ leaking a traceback.
 """
 
 import json
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -24,7 +27,7 @@ from .conftest import CITY
 
 class TestControllerUnit:
     def test_admit_and_release(self):
-        controller = AdmissionController(max_inflight=2)
+        controller = AdmissionController()
         with controller.admit():
             assert controller.stats()["in_flight"] == 1
         stats = controller.stats()
@@ -33,7 +36,7 @@ class TestControllerUnit:
         assert stats["completed"] == 1
 
     def test_queue_full_is_429(self):
-        controller = AdmissionController(max_inflight=1, max_queued=0)
+        controller = AdmissionController(max_queued=0)
         with controller.admit():
             with pytest.raises(QueueFull) as excinfo:
                 controller.admit()
@@ -42,7 +45,7 @@ class TestControllerUnit:
         assert controller.stats()["rejected_queue_full"] == 1
 
     def test_deadline_exceeded_is_503(self):
-        controller = AdmissionController(max_inflight=1, max_queued=4)
+        controller = AdmissionController(max_queued=4)
         with controller.admit():
             with pytest.raises(DeadlineExceeded) as excinfo:
                 controller.admit(timeout_s=0.05)
@@ -52,7 +55,7 @@ class TestControllerUnit:
         assert stats["queued"] == 0  # the expired waiter left the queue
 
     def test_queued_request_proceeds_when_slot_frees(self):
-        controller = AdmissionController(max_inflight=1, max_queued=4)
+        controller = AdmissionController(max_queued=4)
         first = controller.admit()
 
         results = []
@@ -69,19 +72,48 @@ class TestControllerUnit:
         assert results == ["admitted"]
         assert controller.stats()["admitted"] == 2
 
+    def test_admits_one_request_at_a_time(self):
+        """Admission is the daemon's only serialization of the planning
+        core: under contention no two admitted blocks overlap."""
+        workers = 8
+        controller = AdmissionController(max_queued=workers)
+        guard = threading.Lock()
+        inside = [0]
+        most = [0]
+
+        def work(_):
+            with controller.admit(timeout_s=30.0):
+                with guard:
+                    inside[0] += 1
+                    most[0] = max(most[0], inside[0])
+                time.sleep(0.002)
+                with guard:
+                    inside[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for future in [pool.submit(work, i) for i in range(4 * workers)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        stats = controller.stats()
+        assert stats["admitted"] == stats["completed"] == 4 * workers
+        assert stats["in_flight"] == 0
+
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
-            AdmissionController(max_inflight=0)
+            AdmissionController(max_queued=-1)
         with pytest.raises(ConfigurationError):
-            AdmissionController(max_inflight=1, max_queued=-1)
-        with pytest.raises(ConfigurationError):
-            AdmissionController(max_inflight=1, default_timeout_s=0.0)
+            AdmissionController(default_timeout_s=0.0)
 
 
 class TestHTTPShedding:
     def test_queue_full_sheds_429_with_clean_body(self, make_harness):
         harness = make_harness(
-            admission=AdmissionController(max_inflight=1, max_queued=0)
+            admission=AdmissionController(max_queued=0)
         )
         # Occupy the only slot deterministically, then hit the wire.
         with harness.service.admission.admit():
@@ -96,7 +128,7 @@ class TestHTTPShedding:
 
     def test_deadline_timeout_sheds_503_with_clean_body(self, make_harness):
         harness = make_harness(
-            admission=AdmissionController(max_inflight=1, max_queued=4)
+            admission=AdmissionController(max_queued=4)
         )
         with harness.service.admission.admit():
             status, body = harness.post(
@@ -111,7 +143,7 @@ class TestHTTPShedding:
         """Health and stats probes must keep answering under saturation —
         that is the whole point of having them."""
         harness = make_harness(
-            admission=AdmissionController(max_inflight=1, max_queued=0)
+            admission=AdmissionController(max_queued=0)
         )
         with harness.service.admission.admit():
             status, body = harness.get("/healthz")
@@ -122,7 +154,7 @@ class TestHTTPShedding:
 
     def test_concurrent_saturation_mixes_200_and_429(self, make_harness):
         harness = make_harness(
-            admission=AdmissionController(max_inflight=1, max_queued=0),
+            admission=AdmissionController(max_queued=0),
             warm=True,  # pre-plan so served requests are fast cache hits
         )
 

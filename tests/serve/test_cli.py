@@ -1,7 +1,9 @@
 """The `repro serve` command: parser surface, env plumbing, clean boot.
 
-The parser/env tests stay in-process (no socket is ever opened before
-the failure).  The boot test runs the real ``python -m repro serve`` in
+The parser/env tests stay in-process: the environment error fires
+before a socket opens, and ``create_server`` is patched to raise, so a
+missed error fails the test instead of serving forever.  The boot test
+runs the real ``python -m repro serve`` in
 a subprocess because ``_cmd_serve`` installs a SIGTERM handler —
 signal machinery only works on a process's main thread.
 """
@@ -28,7 +30,6 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port is None  # resolved from $REPRO_SERVE_PORT later
         assert args.max_stops == 20
-        assert args.max_inflight is None
         assert args.max_queued == 16
         assert args.deadline == 30.0
         assert args.trace_dir is None
@@ -50,6 +51,13 @@ class TestParser:
 
 
 class TestEnvPlumbing:
+    @pytest.fixture(autouse=True)
+    def _refuse_to_serve(self, monkeypatch):
+        def create_server(*args, **kwargs):
+            raise AssertionError("serve reached create_server")
+
+        monkeypatch.setattr("repro.serve.create_server", create_server)
+
     def test_malformed_port_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SERVE_PORT", "80.5")
         code = main(["serve", "--dataset", "orlando", "--scale", "0.05"])
@@ -58,25 +66,19 @@ class TestEnvPlumbing:
         assert "REPRO_SERVE_PORT" in err
         assert "Traceback" not in err
 
-    def test_malformed_max_inflight_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "many")
-        code = main(["serve", "--dataset", "orlando", "--scale", "0.05"])
-        assert code == 2
-        assert "REPRO_SERVE_MAX_INFLIGHT" in capsys.readouterr().err
-
     def test_port_flag_short_circuits_its_env_read(self, monkeypatch, capsys):
         # With --port pinned, a broken $REPRO_SERVE_PORT is never read;
-        # resolution then proceeds to the max-inflight env var, whose
-        # broken value is what actually fails — proving the flag won.
+        # resolution then proceeds to the warm env var, whose broken
+        # value is what actually fails — proving the flag won.
         monkeypatch.setenv("REPRO_SERVE_PORT", "nonsense")
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "broken-too")
+        monkeypatch.setenv("REPRO_SERVE_WARM", "broken-too")
         code = main(
             ["serve", "--dataset", "orlando", "--scale", "0.05",
              "--port", "0"]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "REPRO_SERVE_MAX_INFLIGHT" in err
+        assert "REPRO_SERVE_WARM" in err
         assert "REPRO_SERVE_PORT" not in err
 
 
@@ -89,7 +91,6 @@ class TestCliBoot:
             os.path.join(os.path.dirname(__file__), "..", "..", "src")
         )
         env.pop("REPRO_SERVE_PORT", None)
-        env.pop("REPRO_SERVE_MAX_INFLIGHT", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--dataset", "orlando", "--scale", "0.05",

@@ -40,7 +40,6 @@ class TestGetEndpoints:
         assert status == 200
         admission = body["admission"]
         for key in (
-            "max_inflight",
             "in_flight",
             "queued",
             "admitted",

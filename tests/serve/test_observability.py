@@ -140,7 +140,7 @@ class TestStoreIntegration:
     def test_shed_requests_write_no_trace(self, tmp_path, make_harness):
         trace_dir = tmp_path / "traces"
         harness = make_harness(
-            admission=AdmissionController(max_inflight=1, max_queued=0),
+            admission=AdmissionController(max_queued=0),
             trace_dir=str(trace_dir),
         )
         with harness.service.admission.admit():
