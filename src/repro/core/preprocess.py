@@ -19,12 +19,16 @@ balls**, batched hundreds at a time over the product graph
 distances from the query side, i.e. in exactly the per-query float
 association, so its member distances need no replay; the settle-order
 cutoff ``(d, v) < (nn(q), nn_stop(q))`` is applied inside the kernel.
-The batched search returns *columnar* output, and the merge and
-utility folds below stay columnar too (stable grouping by candidate,
-exact left-fold accumulation), so the path is array-native end to end.
+The batched search returns *columnar* arrays, and the result keeps
+them: the RNN sets are one node-indexed CSR table (:class:`RNNTable`,
+a stable grouping of the member stream by candidate), and utilities
+are exact left folds over its rows, so the path is array-native end to
+end and no ``(query, dist)`` tuple is ever built on it.
 
 :func:`per_query_preprocess` keeps the paper's literal loop as the
-oracle: the equivalence suite asserts that both functions produce equal
+oracle — python lists merged pair by pair and folded entry by entry,
+then stored in the same table format: the equivalence suite asserts
+that both functions produce equal
 ``nn_distance``/``rnn``/``initial_utility`` contents and bit-identical
 downstream ``EBRRResult``s (see DESIGN.md "Batched preprocessing" for
 the inversion argument and the generic-position caveat), and the
@@ -39,6 +43,10 @@ The output powers the whole selection phase:
   where ``d_cur(q)`` is the query's current nearest-stop distance.
   A query outside ``RNN(v)`` satisfies ``dist(q, v) ≥ dist(q, nn(q)) ≥
   d_cur(q)`` and can never gain, so the sum is exact, not a bound.
+  :class:`PreprocessResult` carries each table entry's term
+  ``count(q) · (nn(q) − d)`` and an index of the entries by query, so
+  selection keeps the terms current and folds a row with one
+  ``np.add.accumulate`` (see :mod:`repro.core.selection`).
 
 Query multiplicities are honoured by weighting each distinct node with
 its count in the multiset ``Q``.
@@ -47,8 +55,9 @@ its count in the multiset ``Q``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,16 +69,86 @@ from .utility import BRRInstance
 _INF = math.inf
 
 
-@dataclass
+class RNNTable(NamedTuple):
+    """The RNN sets of Algorithm 2 as a node-indexed CSR table.
+
+    Node ``v``'s entries are ``queries[indptr[v]:indptr[v + 1]]`` with
+    their distances ``dists[...]`` — the pairs ``(q, dist(q, v))`` with
+    ``q ∈ RNN(v)``, in per-query append order (query order of the
+    search, and settle order within a query).  Rows of nodes that are
+    not reached candidates are empty.  The arrays are shared by every
+    reader and never written: treat them as read-only.
+    """
+
+    indptr: np.ndarray  # int64, num_nodes + 1 row offsets
+    queries: np.ndarray  # int64 query node per entry
+    dists: np.ndarray  # float64 dist(q, v) per entry
+
+    @classmethod
+    def from_lists(
+        cls, num_nodes: int, rnn: Dict[int, List[Tuple[int, float]]]
+    ) -> "RNNTable":
+        """The table holding ``rnn``'s lists, each row in list order."""
+        lengths = np.zeros(num_nodes, dtype=np.int64)
+        for node, entries in rnn.items():
+            lengths[node] = len(entries)
+        pairs = [pair for node in sorted(rnn) for pair in rnn[node]]
+        return cls(
+            row_offsets(lengths),
+            np.array([q for q, _ in pairs], dtype=np.int64),
+            np.array([d for _, d in pairs], dtype=np.float64),
+        )
+
+
+class RNNView(Mapping[int, List[Tuple[int, float]]]):
+    """Read-only ``{candidate: [(query, dist), ...]}`` view of an
+    :class:`RNNTable`: one key per non-empty row, in node id order, and
+    a fresh list per lookup.  For tests, diagnostics and reports; the
+    algorithm reads the arrays."""
+
+    def __init__(self, table: RNNTable) -> None:
+        self._table = table
+
+    def _row(self, node: object) -> Tuple[int, int]:
+        indptr = self._table.indptr
+        if not isinstance(node, (int, np.integer)) or not 0 <= node < indptr.size - 1:
+            return 0, 0
+        return int(indptr[node]), int(indptr[node + 1])
+
+    def __getitem__(self, node: int) -> List[Tuple[int, float]]:
+        start, end = self._row(node)
+        if start == end:
+            raise KeyError(node)
+        return list(
+            zip(
+                self._table.queries[start:end].tolist(),
+                self._table.dists[start:end].tolist(),
+            )
+        )
+
+    def __contains__(self, node: object) -> bool:
+        start, end = self._row(node)
+        return end > start
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(np.diff(self._table.indptr)).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self._table.indptr)))
+
+
+@dataclass(eq=False)
 class PreprocessResult:
     """Output of Algorithm 2.
 
     Attributes:
         nn_distance: for each distinct query node, its distance to the
             nearest *existing* stop ``dist(q, nn(q))``.
-        rnn: for each candidate stop ``v``, the list of
-            ``(query_node, dist(q, v))`` pairs with the query in
-            ``RNN(v)`` — settled before ``nn(q)`` in the search.
+        table: the RNN sets as an :class:`RNNTable` — for each
+            candidate stop ``v`` the pairs ``(q, dist(q, v))`` with the
+            query in ``RNN(v)``, settled before ``nn(q)`` in the search.
+        weights: per node, the query multiplicity ``count(q)`` as a
+            float (``0.0`` at nodes holding no query).
         initial_utility: ``U({v})`` for every stop in
             ``S_new ∪ S_existing`` (walking gain for candidates,
             ``α · |routes(v)|`` for existing stops).
@@ -88,13 +167,52 @@ class PreprocessResult:
             existing stop (``len(visited) + 1`` per query).  Both
             definitions count *nodes*, not implementation steps, so
             they are identical across kernel backends.
+
+    Derived once per result, for selection (all read-only):
+        nearest: per node, ``dist(q, nn(q))`` (``inf`` at nodes holding
+            no query).
+        terms: per table entry, the gain term
+            ``count(q) · (nn(q) − dist(q, v))``.
+        query_indptr / query_entries: the table's entries grouped by
+            query node, a CSR over node ids:
+            ``query_entries[query_indptr[q]:query_indptr[q + 1]]`` are
+            the positions of ``q``'s entries in the table.
     """
 
-    nn_distance: Dict[int, float] = field(default_factory=dict)
-    rnn: Dict[int, List[Tuple[int, float]]] = field(default_factory=dict)
+    nn_distance: Dict[int, float]
+    table: RNNTable
+    weights: np.ndarray
     initial_utility: Dict[int, float] = field(default_factory=dict)
     searches: int = 0
     settled_nodes: int = 0
+    nearest: np.ndarray = field(init=False, repr=False)
+    terms: np.ndarray = field(init=False, repr=False)
+    query_indptr: np.ndarray = field(init=False, repr=False)
+    query_entries: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        num_nodes = self.table.indptr.size - 1
+        self.nearest = np.full(num_nodes, _INF)
+        size = len(self.nn_distance)
+        self.nearest[np.fromiter(self.nn_distance.keys(), np.int64, size)] = (
+            np.fromiter(self.nn_distance.values(), np.float64, size)
+        )
+        queries = self.table.queries
+        self.terms = self.weights[queries] * (self.nearest[queries] - self.table.dists)
+        self.query_indptr = row_offsets(np.bincount(queries, minlength=num_nodes))
+        self.query_entries = stable_order(queries)
+
+    @property
+    def rnn(self) -> RNNView:
+        """The RNN sets as a read-only mapping ``{v: [(q, dist), ...]}``
+        over the table (see :class:`RNNView`)."""
+        return RNNView(self.table)
+
+    def entries_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Table positions of every entry whose query is in ``nodes``
+        (an int64 array of query nodes), grouped by node."""
+        indptr = self.query_indptr
+        return self.query_entries[_ranges(indptr[nodes], indptr[nodes + 1])]
 
     def utility_order(self) -> List[Tuple[float, int]]:
         """``(U(v), v)`` pairs in decreasing utility order — the queue
@@ -131,26 +249,27 @@ def preprocess_queries(
     if engine is None:
         engine = engine_for(instance.network)
     _check_disjoint_stops(instance)
-    result = PreprocessResult()
 
     # Lines 1-10: the same table the per-query loop builds — same
-    # floats, same RNN list order, same dict insertion order — merged
-    # from the columnar search output with array passes instead of a
-    # per-pair python loop (see _group_by_candidate for the ordering
-    # argument).
+    # floats, same per-candidate entry order — grouped from the
+    # columnar search output by one stable sort (see
+    # _group_by_candidate for the ordering argument).
     with span("preprocess.searches", queries=len(instance.query_counts)):
-        table = _inverted_search(instance, engine, result)
-        result.nn_distance.update(zip(table.nodes, table.nn_forward))
-        for candidate, start, end in table.groups:
-            result.rnn[candidate] = list(
-                zip(table.qs[start:end], table.ds[start:end])
-            )
+        nn_distance, table, searches, settled = _inverted_search(instance, engine)
 
     with span("preprocess.utilities"):
-        # Lines 11-14: initial utilities of candidate stops.
-        _inverted_utilities(table, instance, result)
-        _fill_utilities(instance, result)
-
+        # Lines 11-14: initial utilities of candidate stops, the left
+        # fold of each candidate's terms.
+        result = PreprocessResult(
+            nn_distance,
+            table,
+            query_weights(instance),
+            searches=searches,
+            settled_nodes=settled,
+        )
+        gains = fold_rows(result.terms, table.indptr, instance.candidates)
+        result.initial_utility = dict(zip(instance.candidates, gains.tolist()))
+        result.initial_utility.update(_connectivity_utilities(instance))
     return result
 
 
@@ -160,7 +279,9 @@ def per_query_preprocess(
     engine: Optional[SearchEngine] = None,
 ) -> PreprocessResult:
     """The paper's literal Algorithm 2 loop: one early-terminated
-    Dijkstra per distinct query node, merged pair by pair.
+    Dijkstra per distinct query node, merged pair by pair into python
+    lists and folded entry by entry, then stored as an
+    :class:`RNNTable`.
 
     This is the oracle :func:`preprocess_queries` is checked and timed
     against — same arguments, same errors, equal output (only the
@@ -170,7 +291,6 @@ def per_query_preprocess(
     if engine is None:
         engine = engine_for(instance.network)
     _check_disjoint_stops(instance)
-    result = PreprocessResult()
     counts = instance.query_counts
     rows = query_search_rows(
         engine,
@@ -179,19 +299,29 @@ def per_query_preprocess(
         instance.is_candidate,
         phase="preprocess",
     )
-    result.searches = len(rows)
-    result.settled_nodes = sum(len(visited) + 1 for _q, _s, _d, visited in rows)
+    nn_distance: Dict[int, float] = {}
+    rnn: Dict[int, List[Tuple[int, float]]] = {}
     for query_node, _nn_stop, nn_dist, visited in rows:
-        result.nn_distance[query_node] = nn_dist
+        nn_distance[query_node] = nn_dist
         for candidate, dist in visited:
-            result.rnn.setdefault(candidate, []).append((query_node, dist))
-    for candidate, entries in result.rnn.items():
+            rnn.setdefault(candidate, []).append((query_node, dist))
+    utilities: Dict[int, float] = {}
+    for candidate, entries in rnn.items():
         gain = 0.0
         for query_node, dist in entries:
-            gain += counts[query_node] * (result.nn_distance[query_node] - dist)
-        result.initial_utility[candidate] = gain
-    _fill_utilities(instance, result)
-    return result
+            gain += counts[query_node] * (nn_distance[query_node] - dist)
+        utilities[candidate] = gain
+    for candidate in instance.candidates:
+        utilities.setdefault(candidate, 0.0)
+    utilities.update(_connectivity_utilities(instance))
+    return PreprocessResult(
+        nn_distance,
+        RNNTable.from_lists(instance.network.num_nodes, rnn),
+        query_weights(instance),
+        utilities,
+        searches=len(rows),
+        settled_nodes=sum(len(visited) + 1 for _q, _s, _d, visited in rows),
+    )
 
 
 def query_search_rows(
@@ -215,46 +345,86 @@ def query_search_rows(
     return rows
 
 
-def _fill_utilities(instance: BRRInstance, result: PreprocessResult) -> None:
-    """The rest of lines 11-16: zero gain for candidates no search
-    reached, then ``α · degree`` for every existing stop."""
-    for candidate in instance.candidates:
-        result.initial_utility.setdefault(candidate, 0.0)
-    for stop in instance.existing_stops:
-        result.initial_utility[stop] = instance.alpha * instance.transit.degree(stop)
+def query_weights(instance: BRRInstance) -> np.ndarray:
+    """Per node, the multiplicity of its queries as a float (``0.0``
+    where none): ``count * Δ`` rounds the same whether ``count`` is an
+    int or its exact float."""
+    counts = instance.query_counts
+    weights = np.zeros(instance.network.num_nodes)
+    weights[np.fromiter(counts.keys(), np.int64, len(counts))] = np.fromiter(
+        counts.values(), np.float64, len(counts)
+    )
+    return weights
 
 
-@dataclass
-class _InvertedTable:
-    """Columnar Algorithm 2 table from the inverted search.
+def fold_rows(
+    values: np.ndarray, indptr: np.ndarray, rows: Sequence[int]
+) -> np.ndarray:
+    """The left fold ``0.0 + v[s] + v[s + 1] + ...`` of each row's
+    slice ``values[indptr[r]:indptr[r + 1]]``, as a float64 array
+    (``0.0`` for an empty row).
 
-    ``qs``/``ds`` hold the flattened ``(query_node, dist)`` member
-    pairs *grouped by candidate*; ``groups`` lists one
-    ``(candidate, start, end)`` slice per candidate in first-appearance
-    order over the per-query pair stream — exactly the dict insertion
-    order the per-query merge produces — with each group's entries in
-    query order (and per-query settle order within a query), exactly
-    the per-query append order.
-    """
+    Each fold is ``np.add.accumulate`` over the row, read at the row's
+    last entry: the ufunc is sequential (``out[i] = out[i-1] + in[i]``),
+    so the result is bit-identical to the python loop
+    ``gain += term`` over the same terms in the same order."""
+    ids = np.asarray(rows, dtype=np.int64)
+    out = np.zeros(ids.size)
+    accumulate = np.add.accumulate
+    bounds = zip(indptr[ids].tolist(), indptr[ids + 1].tolist())
+    for i, (start, end) in enumerate(bounds):
+        if end > start:
+            out[i] = accumulate(values[start:end])[-1]
+    return out
 
-    nodes: List[int]
-    nn_forward: List[float]
-    groups: List[Tuple[int, int, int]]
-    qs: List[int]
-    ds: List[float]
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64
+    ``keys`` (node ids), as least-significant-first passes over 16-bit
+    digits: numpy radix-sorts 16-bit keys, so each pass is linear."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    top = int(keys.max()) if keys.size else 0
+    shift = 16
+    while top >> shift:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(starts[i], ends[i])`` over ``i``."""
+    lengths = ends - starts
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return offsets + np.arange(offsets.size, dtype=np.int64)
+
+
+def row_offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR row offsets for rows of ``lengths``."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def _connectivity_utilities(instance: BRRInstance) -> Dict[int, float]:
+    """Lines 15-16: ``α · degree`` for every existing stop."""
+    alpha, transit = instance.alpha, instance.transit
+    return {stop: alpha * transit.degree(stop) for stop in instance.existing_stops}
 
 
 def _inverted_search(
-    instance: BRRInstance,
-    engine: SearchEngine,
-    result: PreprocessResult,
-) -> _InvertedTable:
+    instance: BRRInstance, engine: SearchEngine
+) -> Tuple[Dict[int, float], RNNTable, int, int]:
     """One multi-source label field from the existing stops hands every
     query its truncation radius, then one batched query-rooted ball per
-    distinct query node, then a columnar regroup by candidate."""
+    distinct query node, then a columnar regroup by candidate.
+
+    Returns ``(nn_distance, table, searches, settled_nodes)``."""
     nodes = list(instance.query_counts)
+    num_nodes = instance.network.num_nodes
     if not nodes:
-        return _InvertedTable([], [], [], [], [])
+        empty = np.zeros(0, dtype=np.int64)
+        return {}, _group_by_candidate(num_nodes, empty, empty, np.zeros(0)), 0, 0
     active = current_trace()
     stops = [i for i, flag in enumerate(instance.is_existing) if flag]
     with span("preprocess.labels", stops=len(stops), queries=len(nodes)):
@@ -277,90 +447,41 @@ def _inverted_search(
         member_counts, member_nodes, member_dists, settled = engine.batch_query_rows(
             nodes, nn_forward, labels, instance.is_candidate, phase="preprocess"
         )
-        ball_nodes = sum(settled)
+        ball_nodes = int(settled.sum())
         if active is not None:
             active.metrics.counter("preprocess.balls.count").inc(len(nodes))
             active.metrics.counter("preprocess.balls.settled").inc(ball_nodes)
-    result.searches += 1 + len(nodes)
-    result.settled_nodes += label_field.reachable + ball_nodes
-    return _group_by_candidate(
-        nodes, nn_forward, member_counts, member_nodes, member_dists
+    member_queries = np.repeat(np.asarray(nodes, dtype=np.int64), member_counts)
+    table = _group_by_candidate(num_nodes, member_queries, member_nodes, member_dists)
+    return (
+        dict(zip(nodes, nn_forward)),
+        table,
+        1 + len(nodes),
+        label_field.reachable + ball_nodes,
     )
 
 
 def _group_by_candidate(
-    nodes: List[int],
-    nn_forward: List[float],
-    member_counts: List[int],
-    member_nodes: List[int],
-    member_dists: List[float],
-) -> _InvertedTable:
+    num_nodes: int,
+    member_queries: np.ndarray,
+    member_nodes: np.ndarray,
+    member_dists: np.ndarray,
+) -> RNNTable:
     """Regroup the row-major columnar members by candidate stop.
 
     The flat member stream arrives in exactly the order the per-query
     merge loop iterates pairs: query-major (``nodes`` order), per-query
-    settle order within a row.  A *stable* argsort by candidate id
-    therefore keeps each candidate's pairs in per-query append order,
-    and sorting the groups by their first flat position reproduces the
-    per-query ``rnn`` dict's first-appearance insertion order — both
-    orderings land bit-for-bit without touching a single pair in
-    python.
+    settle order within a row.  A *stable* sort by candidate id
+    therefore keeps each candidate's pairs in per-query append order —
+    and the sorted stream *is* the table, with row offsets from the
+    per-candidate counts.
     """
-    if not member_nodes:
-        return _InvertedTable(nodes, nn_forward, [], [], [])
-    row_of = np.repeat(
-        np.arange(len(nodes), dtype=np.int64),
-        np.asarray(member_counts, dtype=np.int64),
+    order = stable_order(member_nodes)
+    return RNNTable(
+        row_offsets(np.bincount(member_nodes, minlength=num_nodes)),
+        member_queries[order],
+        member_dists[order],
     )
-    cand = np.asarray(member_nodes, dtype=np.int64)
-    dist = np.asarray(member_dists, dtype=np.float64)
-    order = np.argsort(cand, kind="stable")
-    sorted_cand = cand[order]
-    starts = np.flatnonzero(
-        np.concatenate(
-            (np.ones(1, dtype=bool), sorted_cand[1:] != sorted_cand[:-1])
-        )
-    )
-    ends = np.append(starts[1:], sorted_cand.size)
-    first_seen = np.argsort(order[starts], kind="stable")
-    node_arr = np.asarray(nodes, dtype=np.int64)
-    qs = node_arr[row_of[order]].tolist()
-    ds = dist[order].tolist()
-    groups = [
-        (int(sorted_cand[starts[g]]), int(starts[g]), int(ends[g]))
-        for g in first_seen.tolist()
-    ]
-    return _InvertedTable(nodes, nn_forward, groups, qs, ds)
-
-
-def _inverted_utilities(
-    table: _InvertedTable,
-    instance: BRRInstance,
-    result: PreprocessResult,
-) -> None:
-    """Lines 11-14 over the columnar table: per-pair gain terms in one
-    vectorized pass, then one exact **left-fold** per candidate group
-    via ``np.add.accumulate`` — the ufunc is defined sequentially
-    (``out[i] = out[i-1] + in[i]``), so each group's final prefix sum
-    is bit-identical to the oracle's ``gain += term`` python fold over
-    the same terms in the same order."""
-    if not table.groups:
-        return
-    counts = instance.query_counts
-    num_nodes = instance.network.num_nodes
-    weight = np.zeros(num_nodes)
-    nn = np.zeros(num_nodes)
-    for node in table.nodes:
-        weight[node] = counts[node]
-        nn[node] = result.nn_distance[node]
-    qs = np.asarray(table.qs, dtype=np.int64)
-    terms = weight[qs] * (nn[qs] - np.asarray(table.ds, dtype=np.float64))
-    for candidate, start, end in table.groups:
-        if end - start == 1:
-            gain = float(terms[start])
-        else:
-            gain = float(np.add.accumulate(terms[start:end])[-1])
-        result.initial_utility[candidate] = gain
 
 
 def _check_disjoint_stops(instance: BRRInstance) -> None:

@@ -49,6 +49,24 @@ def price_from_distance(distance: float, max_adjacent_cost: float) -> int:
     return max(1, math.ceil(distance / max_adjacent_cost - _EPSILON))
 
 
+def prices_from_distances(
+    distances: np.ndarray, max_adjacent_cost: float
+) -> np.ndarray:
+    """:func:`price_from_distance` over an array of distances, as int64
+    — the same float expression per element, so the same integers —
+    except that an infinite distance (a stop that cannot reach ``B``)
+    prices ``0`` instead of raising, for the caller to report."""
+    if max_adjacent_cost <= 0:
+        raise ConfigurationError(f"C must be positive, got {max_adjacent_cost}")
+    distances = np.asarray(distances, dtype=np.float64)
+    reachable = np.isfinite(distances)
+    steps = np.ceil(np.where(reachable, distances, 0.0) / max_adjacent_cost - _EPSILON)
+    prices = np.where(
+        distances <= max_adjacent_cost + _EPSILON, 1.0, np.maximum(steps, 1.0)
+    )
+    return np.where(reachable, prices, 0.0).astype(np.int64)
+
+
 def virtual_edge_price(
     distance: float, max_adjacent_cost: float
 ) -> int:

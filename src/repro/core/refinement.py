@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..exceptions import InfeasibleRouteError
 from ..obs import span
 from .config import EBRRConfig
@@ -216,20 +218,18 @@ def _best_terminal_extension(
     end.
     """
     eligible = _eligibility(state, used)
-    best: Optional[Tuple[float, str, int]] = None
+    options: List[Tuple[str, int]] = []
     for end, terminal in (("head", stops[0]), ("tail", stops[-1])):
         reachable = state.engine.nodes_within(
             terminal, config.max_adjacent_cost, phase="refinement"
         )
-        for node, _dist in reachable:
-            if not eligible(node):
-                continue
-            gain = state.marginal_gain(node)
-            if best is None or gain > best[0]:
-                best = (gain, end, node)
-    if best is None:
+        options.extend((end, node) for node, _dist in reachable if eligible(node))
+    if not options:
         return None
-    _, end, node = best
+    # The first option with the largest gain, as a strict-">" scan
+    # over the options would keep.
+    gains = state.marginal_gains([node for _end, node in options])
+    end, node = options[int(np.argmax(gains))]
     terminal = stops[0] if end == "head" else stops[-1]
     road_path, _cost = state.engine.path(terminal, node, phase="refinement")
     if end == "head":

@@ -11,11 +11,14 @@ reuse the preprocessing; this module makes *demand* changes cheap too:
   Dijkstra (the Algorithm 2 search);
 * a fully removed node has its RNN entries retired.
 
-The update runs in time proportional to the *changed* demand, not the
-whole multiset — the benchmark shows the gap against full recomputation.
-The added-node searches therefore run the paper's per-query search
-(:func:`~repro.core.preprocess.query_search_rows`), whose cost scales
-with the number of added nodes.
+The update's python work is proportional to the *changed* demand, not
+the whole multiset: the changed queries' table entries come from the
+preprocessing's by-query index, and the RNN table's arrays are rebuilt
+by a few vectorized passes (``np.delete`` of the retired entries,
+``np.insert`` of the added ones at the ends of their rows) — the input
+is never written.  The added-node searches run the paper's per-query
+search (:func:`~repro.core.preprocess.query_search_rows`), whose cost
+scales with the number of added nodes.
 """
 
 from __future__ import annotations
@@ -23,10 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..demand.query import QuerySet
 from ..network.engine import engine_for
 from ..obs import span
-from .preprocess import PreprocessResult, query_search_rows
+from .preprocess import (
+    PreprocessResult,
+    RNNTable,
+    query_search_rows,
+    query_weights,
+    row_offsets,
+    stable_order,
+)
 from .utility import BRRInstance
 
 
@@ -92,68 +104,53 @@ def _apply_update(
     old_counts = instance.query_counts
     new_counts = new_instance.query_counts
     stats = UpdateStats()
-
-    # Copy the structures we will edit.
-    result = PreprocessResult(
-        nn_distance=dict(preprocess.nn_distance),
-        rnn={v: list(entries) for v, entries in preprocess.rnn.items()},
-        initial_utility=dict(preprocess.initial_utility),
-        searches=preprocess.searches,
-        settled_nodes=preprocess.settled_nodes,
-    )
-
-    # Reverse index: query node -> [(candidate, dist)], for O(changed)
-    # utility adjustments and entry retirement.
-    reverse: Dict[int, List[Tuple[int, float]]] = {}
-    for candidate, entries in result.rnn.items():
-        for query_node, dist in entries:
-            reverse.setdefault(query_node, []).append((candidate, dist))
+    table = preprocess.table
+    nn_distance = dict(preprocess.nn_distance)
+    utilities = dict(preprocess.initial_utility)
+    touched: Dict[int, None] = {}  # candidates whose utility moved
 
     # Pass 1 — surviving nodes: rescale contributions by the count delta
-    # and collect fully-removed nodes for one batched retirement sweep.
+    # and collect fully-removed nodes for one batched retirement.
     retired: List[int] = []
     for node, old in old_counts.items():
         new = new_counts.get(node, 0)
         if old == new:
             continue
         delta = new - old
-        nn_dist = result.nn_distance[node]
-        for candidate, dist in reverse.get(node, []):
-            result.initial_utility[candidate] += delta * (nn_dist - dist)
+        nn_dist = nn_distance[node]
+        entries = preprocess.entries_of(np.array([node], dtype=np.int64))
+        for candidate, dist in zip(
+            _owners(table, entries).tolist(), table.dists[entries].tolist()
+        ):
+            utilities[candidate] += delta * (nn_dist - dist)
+            touched[candidate] = None
         if new == 0:
             retired.append(node)
             stats.removed_nodes += 1
         else:
             stats.rescaled_nodes += 1
 
-    # Pass 2 — batched retirement: filter each affected candidate's RNN
-    # list exactly once against the whole retired set (the per-node
-    # rebuild was quadratic in the removal size).  A candidate whose
-    # list empties has lost every contributor, so its utility is pinned
-    # to exactly 0.0 rather than left to the dust clamp below.
-    if retired:
-        retired_set = frozenset(retired)
-        affected = dict.fromkeys(
-            candidate
-            for node in retired
-            for candidate, _ in reverse.get(node, [])
-        )
-        for candidate in affected:
-            survivors = [
-                entry for entry in result.rnn[candidate] if entry[0] not in retired_set
-            ]
-            if survivors:
-                result.rnn[candidate] = survivors
-            else:
-                del result.rnn[candidate]
-                result.initial_utility[candidate] = 0.0
-        for node in retired:
-            reverse.pop(node, None)
-            del result.nn_distance[node]
+    # Pass 2 — batched retirement: drop every retired entry at once.  A
+    # candidate whose row empties has lost every contributor, so its
+    # utility is pinned to exactly 0.0 rather than left to the dust
+    # clamp below.
+    removed = np.sort(preprocess.entries_of(np.array(retired, dtype=np.int64)))
+    affected = _owners(table, removed)
+    lengths = np.diff(table.indptr) - np.bincount(
+        affected, minlength=table.indptr.size - 1
+    )
+    for candidate in np.unique(affected).tolist():
+        if not lengths[candidate]:
+            utilities[candidate] = 0.0
+    for node in retired:
+        del nn_distance[node]
 
     # Pass 3 — brand-new distinct nodes: one Algorithm 2 search each,
-    # accounted to the engine's `update` profile.
+    # accounted to the engine's `update` profile; their entries join
+    # the ends of their candidates' rows in search order.
     added = [node for node in new_counts if node not in old_counts]
+    searches = settled = 0
+    added_entries: List[Tuple[int, int, float]] = []
     if added:
         rows = query_search_rows(
             engine_for(new_instance.network),
@@ -164,24 +161,64 @@ def _apply_update(
         )
         for node, _nn_stop, nn_dist, visited in rows:
             new = new_counts[node]
-            result.nn_distance[node] = nn_dist
-            result.searches += 1
-            result.settled_nodes += len(visited) + 1
-            stats.added_nodes += 1
-            stats.searches += 1
+            nn_distance[node] = nn_dist
+            searches += 1
+            settled += len(visited) + 1
             for candidate, dist in visited:
-                result.rnn.setdefault(candidate, []).append((node, dist))
-                reverse.setdefault(node, []).append((candidate, dist))
-                result.initial_utility[candidate] = (
-                    result.initial_utility.get(candidate, 0.0)
-                    + new * (nn_dist - dist)
+                added_entries.append((candidate, node, dist))
+                utilities[candidate] = utilities.get(candidate, 0.0) + new * (
+                    nn_dist - dist
                 )
+                touched[candidate] = None
+    stats.added_nodes = stats.searches = searches
 
-    # Clamp float dust: utilities are non-negative by construction.
-    for candidate in list(result.initial_utility):
+    # Clamp float dust: utilities are non-negative by construction, and
+    # only the touched ones moved.
+    for candidate in touched:
         if new_instance.is_candidate[candidate]:
-            value = result.initial_utility[candidate]
+            value = utilities[candidate]
             if -1e-9 < value < 0.0:
-                result.initial_utility[candidate] = 0.0
+                utilities[candidate] = 0.0
 
+    result = PreprocessResult(
+        nn_distance,
+        _edited_table(table, removed, lengths, added_entries),
+        query_weights(new_instance),
+        utilities,
+        searches=preprocess.searches + searches,
+        settled_nodes=preprocess.settled_nodes + settled,
+    )
     return new_instance, result, stats
+
+
+def _owners(table: RNNTable, entries: np.ndarray) -> np.ndarray:
+    """The candidate whose row holds each table position."""
+    return np.searchsorted(table.indptr, entries, side="right") - 1
+
+
+def _edited_table(
+    table: RNNTable,
+    removed: np.ndarray,
+    lengths: np.ndarray,
+    added_entries: List[Tuple[int, int, float]],
+) -> RNNTable:
+    """``table`` without the sorted positions ``removed`` (leaving rows
+    of ``lengths``) and with ``added_entries`` — ``(candidate, query,
+    dist)`` in search order — appended to their rows, in a new table.
+
+    ``np.insert`` keeps values bound for one position in the order
+    given, so a stable grouping of the added entries by candidate lands
+    each at the end of its row in search order."""
+    queries = np.delete(table.queries, removed)
+    dists = np.delete(table.dists, removed)
+    kept_indptr = row_offsets(lengths)
+    if added_entries:
+        candidates = np.array([c for c, _, _ in added_entries], dtype=np.int64)
+        order = stable_order(candidates)
+        at = kept_indptr[candidates[order] + 1]
+        added_queries = np.array([q for _, q, _ in added_entries], dtype=np.int64)
+        added_dists = np.array([d for _, _, d in added_entries], dtype=np.float64)
+        queries = np.insert(queries, at, added_queries[order])
+        dists = np.insert(dists, at, added_dists[order])
+        lengths = lengths + np.bincount(candidates, minlength=lengths.size)
+    return RNNTable(row_offsets(lengths), queries, dists)

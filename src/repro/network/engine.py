@@ -564,14 +564,15 @@ class SearchEngine:
         is_candidate_stop: Sequence[bool],
         *,
         phase: str = "adhoc",
-    ) -> Tuple[List[int], List[int], List[float], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One pruned query-rooted ball per query node, in columnar
         form (see the kernel contract in ``kernels.base``): the caller
         supplies each query's forward-replayed nearest-stop distance
         and label from a :class:`LabelField`, and gets back
-        ``(member_counts, member_nodes, member_dists, settled)``
-        parallel lists.  Uncached — the result depends on the
-        instance's candidate mask, not only on the graph."""
+        ``(member_counts, member_nodes, member_dists, settled)`` as
+        int64/int64/float64/int64 arrays.  Uncached — the result
+        depends on the instance's candidate mask, not only on the
+        graph."""
         self._sync()
         stats = self.counters(phase)
         return self._kernel.batch_query_rows(

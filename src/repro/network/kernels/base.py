@@ -94,6 +94,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    import numpy as np
+
     from ..csr import CSRAdjacency
     from ..engine import SearchStats
 
@@ -202,7 +204,7 @@ class SearchKernel(Protocol):
         labels: Sequence[int],
         is_candidate_stop: Sequence[bool],
         stats: "SearchStats",
-    ) -> Tuple[List[int], List[int], List[float], List[int]]:
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
         """One pruned **query-rooted** ball per query node — the
         batched form of :meth:`query_search` once the label field has
         supplied each query's truncation radius ``nn_forward[i]`` and
@@ -218,14 +220,17 @@ class SearchKernel(Protocol):
         lexicographically below ``(nn_forward[i], labels[i])`` — the
         settle-order cutoff at which the per-query search terminates.
 
-        Returns **columnar** output — four parallel plain-python lists
-        ``(member_counts, member_nodes, member_dists, settled)``:
-        ``member_counts[i]`` members for ball ``i``; ``member_nodes``/
-        ``member_dists`` hold the flattened members row-major, each
-        row's slice in settle order ``(d, node)``; ``settled[i]`` is
-        ball ``i``'s reached-node count (seed included).  Columns keep
-        the merge downstream array-friendly and make the cross-backend
-        parity check a plain ``==``.  Counters: one search per query
+        Returns **columnar** output — four numpy arrays
+        ``(member_counts, member_nodes, member_dists, settled)`` of
+        dtypes int64, int64, float64 and int64: ``member_counts[i]``
+        members for ball ``i``; ``member_nodes``/``member_dists`` hold
+        the flattened members row-major, each row's slice in settle
+        order ``(d, node)``; ``settled[i]`` is ball ``i``'s reached-node
+        count (seed included).  The arrays go straight into Algorithm
+        2's columnar RNN table (``repro.core.preprocess.RNNTable``)
+        with no python-object round trip, and the cross-backend parity
+        check is ``np.array_equal`` per column, dtypes included.
+        Counters: one search per query
         node; ``settled`` sums the reached-set sizes (a fixed point of
         the gate, so identical across backends and across any
         chunking); balls never truncate; ``pushes`` is

@@ -19,6 +19,8 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ...exceptions import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -312,7 +314,7 @@ class PythonKernel:
         labels: Sequence[int],
         is_candidate_stop: Sequence[bool],
         stats: "SearchStats",
-    ) -> Tuple[List[int], List[int], List[float], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
         member_counts: List[int] = []
         member_nodes: List[int] = []
@@ -355,4 +357,9 @@ class PythonKernel:
             settled_out.append(len(settled))
             stats.settled += len(settled)
             stats.pushes += pushes
-        return member_counts, member_nodes, member_dists, settled_out
+        return (
+            np.array(member_counts, dtype=np.int64),
+            np.array(member_nodes, dtype=np.int64),
+            np.array(member_dists, dtype=np.float64),
+            np.array(settled_out, dtype=np.int64),
+        )

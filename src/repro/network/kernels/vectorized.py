@@ -182,7 +182,7 @@ class VectorizedKernel(PythonKernel):
         labels: Sequence[int],
         is_candidate_stop: Sequence[bool],
         stats: "SearchStats",
-    ) -> Tuple[List[int], List[int], List[float], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Query-rooted balls as **tile-local** dense csgraph calls.
 
         Rows are grouped by the :data:`TILE_SIDE` square tile holding
@@ -212,7 +212,8 @@ class VectorizedKernel(PythonKernel):
         rows = np.asarray(list(query_nodes), dtype=np.int64)
         m = int(rows.size)
         if not m:
-            return [], [], [], []
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0), empty
         nnf = np.asarray(list(nn_forward), dtype=np.float64)
         # The reference push gate, clamped to the largest double so that
         # ``d <= gate`` never admits an unreachable (inf) entry.
@@ -293,15 +294,11 @@ class VectorizedKernel(PythonKernel):
         excl = np.cumsum(counts_sorted) - counts_sorted
         positions = np.repeat(out_start[order] - excl, counts_sorted)
         positions += np.arange(positions.size, dtype=np.int64)
-        # Members as shared python ints, one object per node id: a
-        # fresh int per member would hold ~32 more bytes each (about
-        # 250 MB for Chicago at paper scale).
-        node_ids = np.arange(csr.num_nodes, dtype=object)
         return (
-            counts.tolist(),
-            node_ids[_scattered(node_parts, positions)].tolist(),
-            _scattered(dist_parts, positions).tolist(),
-            settled.tolist(),
+            counts,
+            _scattered(node_parts, positions).astype(np.int64, copy=False),
+            _scattered(dist_parts, positions),
+            settled,
         )
 
 

@@ -114,3 +114,17 @@ def test_multi_route_digests(planned, scale, k, c, digests):
     config = EBRRConfig(max_stops=k, max_adjacent_cost=c, alpha=alpha)
     program = plan_routes(instance.transit, instance.queries, config, num_routes=3)
     assert tuple(_digest(result) for result in program.per_route) == digests
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_trace_holds_python_numbers(planned, variant):
+    """The digests hash the trace's ``repr``: a numpy scalar in it (its
+    ``repr`` is ``np.float64(...)`` under numpy 2) would change them."""
+    instance, alpha, pre = planned(0.06)
+    config = EBRRConfig(
+        max_stops=15, max_adjacent_cost=2.0, alpha=alpha, **ABLATION_VARIANTS[variant]
+    )
+    trace = plan_route(instance, config, preprocess=pre).trace
+    assert trace.gains and all(type(gain) is float for gain in trace.gains)
+    assert trace.prices and all(type(price) is int for price in trace.prices)
+    assert type(trace.evaluations) is int and type(trace.queue_inserts) is int

@@ -1,8 +1,9 @@
 """Unit tests for Algorithm 2 (query preprocessing) — Example 7."""
 
+import numpy as np
 import pytest
 
-from repro.core.preprocess import per_query_preprocess, preprocess_queries
+from repro.core.preprocess import per_query_preprocess, preprocess_queries, stable_order
 
 from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 
@@ -154,3 +155,16 @@ class TestStrategies:
         # One field search plus one query-rooted ball per distinct query.
         assert pre.searches == 1 + len(pre.nn_distance)
         assert pre.settled_nodes > 0
+
+
+class TestStableOrder:
+    """The table's grouping sort, in 16-bit radix passes, against numpy's
+    stable argsort — including node ids past 2**16, which only cities
+    of paper scale reach."""
+
+    @pytest.mark.parametrize(
+        "size, high", [(0, 5), (1, 5), (500, 7), (2000, 70_000), (2000, 2 ** 40)]
+    )
+    def test_matches_stable_argsort(self, size, high):
+        keys = np.random.default_rng(size).integers(0, high, size).astype(np.int64)
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))

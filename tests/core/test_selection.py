@@ -1,6 +1,7 @@
 """Unit tests for Algorithm 3 (stop selection) — the paper's Example 8
 walked through exactly, plus equivalence of the selection variants."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import EBRRConfig
@@ -188,26 +189,36 @@ class TestExhaustiveTieBreak:
 
     class _FakeState:
         """Duck-typed stand-in for SelectionState: `_pick_exhaustive`
-        only touches selected_set, marginal_gain, and true_price."""
+        only touches selected, last_walk, and the batch evaluations
+        marginal_gains and true_prices."""
 
         def __init__(self, gains, prices):
-            self.selected_set = set()
+            self.selected = []
+            self.last_walk = 0
             self._gains = gains
             self._prices = prices
 
-        def marginal_gain(self, stop):
-            return self._gains[stop]
+        def marginal_gains(self, stops):
+            return np.array([self._gains[stop] for stop in stops.tolist()])
 
-        def true_price(self, stop):
-            return self._prices[stop]
+        def true_prices(self, stops):
+            return np.array(
+                [self._prices[stop] for stop in stops.tolist()], dtype=np.int64
+            )
 
     def _pick(self, gains, prices, order):
-        from repro.core.selection import SelectionTrace, _pick_exhaustive
+        from repro.core.selection import SelectionTrace, _pick_exhaustive, _UtilityOrder
 
         state = self._FakeState(gains, prices)
         config = _config(use_lazy_selection=False, use_threshold_pruning=False)
         trace = SelectionTrace()
-        picked = _pick_exhaustive(state, order, config, trace)
+        stops = [stop for _, stop in order]
+        utility_order = _UtilityOrder(
+            np.array([utility for utility, _ in order]),
+            np.array(stops, dtype=np.int64),
+            stops,
+        )
+        picked = _pick_exhaustive(state, utility_order, config, trace)
         assert picked is not None
         return picked[0]
 

@@ -1,6 +1,7 @@
 """Unit tests for incremental demand updates: the updated preprocessing
 must be value-identical to recomputing from scratch."""
 
+import numpy as np
 import pytest
 
 from repro.core.preprocess import preprocess_queries
@@ -124,6 +125,34 @@ class TestDownstreamUse:
         update_preprocess(toy_instance, pre, new_queries)
         assert pre.initial_utility == before_utilities
         assert {v: len(e) for v, e in pre.rnn.items()} == before_rnn_sizes
+
+    def test_input_arrays_not_modified(self, small_city):
+        """Rescaled, retired and added queries at once: every array of
+        the input table and its derived state keeps its values."""
+        instance = small_city.instance(alpha=25.0)
+        pre = preprocess_queries(instance)
+        arrays = {
+            "indptr": pre.table.indptr,
+            "queries": pre.table.queries,
+            "dists": pre.table.dists,
+            "weights": pre.weights,
+            "nearest": pre.nearest,
+            "terms": pre.terms,
+            "query_indptr": pre.query_indptr,
+            "query_entries": pre.query_entries,
+        }
+        before = {name: array.copy() for name, array in arrays.items()}
+        nodes = sorted(set(instance.queries.nodes))
+        unused = [v for v in instance.candidates if v not in instance.query_counts]
+        changed = nodes[2:] + nodes[2:4] + unused[:3]
+        _, updated, stats = update_preprocess(
+            instance, pre, QuerySet(instance.network, changed)
+        )
+        assert stats.removed_nodes and stats.rescaled_nodes and stats.added_nodes
+        for name, array in arrays.items():
+            assert np.array_equal(array, before[name]), name
+            assert array.dtype == before[name].dtype, name
+        assert updated.table.queries is not pre.table.queries
 
 
 class TestBulkRetirement:

@@ -8,6 +8,7 @@ produce a legal route.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -126,6 +127,32 @@ class TestAdversarialGraphs:
         result = plan_route(instance, config)
         assert result.route.stops == (8, 7, 6, 5)
         assert set(result.route.path) <= set(range(10))
+
+    def test_unreachable_stop_past_the_walk_break_does_not_raise(
+        self, monkeypatch
+    ):
+        """A query at node 12 puts the second chain's stops in the
+        RQueue under the first chain's.  The walk evaluates the queue in
+        batches, so a batch prices them (``0``: no path to ``B``), but
+        the walk breaks before it reaches them, and only a walked entry
+        may raise."""
+        from repro.core.selection import SelectionState
+
+        network = self._two_chains()
+        instance = self._instance(network, [0, 10], [3, 5, 5, 9, 12])
+        config = EBRRConfig(max_stops=5, max_adjacent_cost=2.5, alpha=1.0)
+        batches = []
+        true_prices = SelectionState.true_prices
+
+        def spy(state, stops):
+            prices = true_prices(state, stops)
+            batches.append(dict(zip(np.asarray(stops).tolist(), prices.tolist())))
+            return prices
+
+        monkeypatch.setattr(SelectionState, "true_prices", spy)
+        result = plan_route(instance, config)
+        assert result.route.stops == (2, 3, 5, 7, 9)
+        assert any(len(batch) > 1 and batch.get(12) == 0 for batch in batches)
 
 
 class TestDegenerateDemand:

@@ -14,6 +14,7 @@ Equality assertions are exact (``==``), never approximate: that *is*
 the contract.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +231,11 @@ def test_forward_replay_bit_identical(network, seed, m):
         assert rp[s] == 0.0
 
 
+#: ``batch_query_rows``' column dtypes: member counts, member nodes,
+#: member distances, ball sizes.
+BALL_DTYPES = (np.int64, np.int64, np.float64, np.int64)
+
+
 def ball_inputs(network, sources, nodes):
     """``(nn_forward, labels)`` of ``nodes`` from the label field of
     ``sources``, built on a third engine so the counters compared by
@@ -244,11 +250,11 @@ def assert_balls_identical(network, nodes, nn_forward, labels, is_candidate):
     ep, ev = engines(network)
     rp = ep.batch_query_rows(nodes, nn_forward, labels, is_candidate)
     rv = ev.batch_query_rows(nodes, nn_forward, labels, is_candidate)
-    assert rp == rv  # counts, flat members + dists, and ball sizes
-    assert all(type(c) is int for c in rv[0])
-    assert all(type(u) is int for u in rv[1])
-    assert all(type(d) is float for d in rv[2])  # no np.float64 leakage
-    assert all(type(c) is int for c in rv[3])
+    # counts, flat members + dists, and ball sizes: the contract's
+    # dtypes on both backends, and the same values bit for bit
+    for p_col, v_col, dtype in zip(rp, rv, BALL_DTYPES):
+        assert p_col.dtype == dtype and v_col.dtype == dtype
+        assert np.array_equal(p_col, v_col)
     assert invariant_counters(ep) == invariant_counters(ev)
     return rp
 

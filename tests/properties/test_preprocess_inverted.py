@@ -4,7 +4,8 @@
 query-rooted ball per distinct query node) must produce preprocessing
 output **equal** to the paper's per-query loop, kept as the
 ``per_query_preprocess`` oracle — same ``nn_distance`` / ``rnn`` /
-``initial_utility`` contents *including dict insertion order* — and
+``initial_utility`` contents *including the order of every RNN row*,
+and the same RNN table arrays — and
 bit-identical downstream ``EBRRResult``s, across the three synthetic
 city families and both kernel backends.  Equality is exact ``==`` on
 floats: query balls accumulate distances from the query side — the
@@ -13,6 +14,7 @@ forward-replayed from the label field (see DESIGN.md "Batched
 preprocessing"), so in generic position the bits match.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,6 +70,8 @@ def assert_equal_preprocessing(per_query, inverted):
     assert list(per_query.rnn) == list(inverted.rnn)
     for candidate in per_query.rnn:
         assert per_query.rnn[candidate] == inverted.rnn[candidate]
+    for a, b in zip(per_query.table, inverted.table):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     assert per_query.utility_order() == inverted.utility_order()
 
 

@@ -6,16 +6,23 @@ decision, only the work done to find it."""
 import heapq
 import itertools
 import math
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import selection
 from repro.core.config import EBRRConfig
+from repro.core.ebrr import plan_route
 from repro.core.preprocess import preprocess_queries
+from repro.core.price import price_from_distance
 from repro.core.selection import SelectionState, SelectionTrace, run_selection
 from repro.core.utility import BRRInstance
 from repro.demand.generators import hotspot_demand
+from repro.network.engine import SearchEngine
 from repro.network.generators import grid_city
 from repro.transit.builder import build_transit_network
 
@@ -212,3 +219,129 @@ def test_array_rqueue_equals_heap_oracle(seed, switches, monkeypatch):
     )
     oracle = run_selection(instance, pre, config)
     assert vars(rewritten) == vars(oracle)
+
+
+# ----------------------------------------------------------------------
+# The fold oracle
+# ----------------------------------------------------------------------
+#
+# ``_fold_oracle`` recomputes ``ΔU_B(v)`` the way the selection state did
+# before it kept terms in arrays: a python left fold over the ``rnn``
+# view against each query's nearest distance recomputed from ``B``.  The
+# heap oracle above calls the batch-backed ``marginal_gain``, so this is
+# what guards the gain arithmetic itself.
+
+FOLD_SWITCH_SETS = dict(
+    LAZY_SWITCH_SETS,
+    **{
+        "vanilla": dict(use_lazy_selection=False, use_threshold_pruning=False),
+        "vanilla, pruning": dict(use_lazy_selection=False),
+    },
+)
+
+
+def _fold_oracle(state: SelectionState, stop: int) -> float:
+    instance, pre = state.instance, state.preprocess
+    if instance.is_existing[stop]:
+        covered = instance.transit.connectivity_mask(state.selected)
+        return instance.alpha * instance.transit.marginal_connectivity(stop, covered)
+    rnn = pre.rnn
+    nearest = dict(pre.nn_distance)
+    for chosen in state.selected:
+        for query_node, dist in rnn.get(chosen, ()):
+            nearest[query_node] = min(nearest[query_node], dist)
+    gain = 0.0
+    for query_node, dist in rnn.get(stop, ()):
+        cur = nearest[query_node]
+        if cur > dist:
+            gain += instance.query_counts[query_node] * (cur - dist)
+    return gain
+
+
+def _price_oracle(state: SelectionState) -> List[int]:
+    """``price_from_distance`` of every node over a fresh multi-source
+    search from ``B`` (``0`` where ``B`` is out of reach)."""
+    engine = SearchEngine(state.instance.network, kernel="python")
+    dist = engine.multi_source(sorted(set(state.selected)), cached=False)
+    c = state.config.max_adjacent_cost
+    return [price_from_distance(d, c) if math.isfinite(d) else 0 for d in dist]
+
+
+def _checked(seen: Counter):
+    """Wrappers of the batch evaluations that compare every element of
+    every batch with the oracles, bit for bit."""
+    gains_of, prices_of = SelectionState.marginal_gains, SelectionState.true_prices
+
+    def marginal_gains(state, stops):
+        gains = gains_of(state, stops)
+        assert gains.dtype == np.float64
+        for stop, gain in zip(np.asarray(stops).tolist(), gains.tolist()):
+            assert gain == _fold_oracle(state, stop)
+            if state.instance.is_existing[stop]:
+                seen["existing"] += 1
+            elif stop not in state.preprocess.rnn:
+                seen["empty rnn"] += 1
+            else:
+                seen["candidate"] += 1
+        return gains
+
+    def true_prices(state, stops):
+        prices = prices_of(state, stops)
+        assert prices.dtype == np.int64
+        expected = _price_oracle(state)
+        for stop, price in zip(np.asarray(stops).tolist(), prices.tolist()):
+            assert price == expected[stop]
+            seen["price"] += 1
+        return prices
+
+    return marginal_gains, true_prices
+
+
+def _sparse_instance(seed, num_queries):
+    """A 7 x 7 grid with a few dozen queries, so that some candidates
+    are in no query's RNN set."""
+    network = grid_city(7, 7, seed=seed)
+    transit = build_transit_network(
+        network, num_routes=3, seed=seed + 1, stop_spacing_km=0.9
+    )
+    queries = hotspot_demand(
+        network, num_queries, num_hotspots=2, transit=transit, seed=seed + 2
+    )
+    return BRRInstance(transit, queries, alpha=4.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 5),
+    num_queries=st.integers(3, 30),
+    switches=st.sampled_from(sorted(FOLD_SWITCH_SETS)),
+    k=st.integers(3, 12),
+    sequence=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+)
+def test_batched_evaluations_equal_python_fold(seed, num_queries, switches, k, sequence):
+    """Every batched ``ΔU`` equals the python fold and every batched
+    price equals ``price_from_distance``, with ``==``: through a whole
+    plan (selection's picks and refinement's terminal extensions) under
+    each switch set, then over every stop after each step of a random
+    selection sequence of candidates and existing stops."""
+    instance = _sparse_instance(seed, num_queries)
+    pre = preprocess_queries(instance)
+    assume(any(v not in pre.rnn for v in instance.candidates))
+    config = EBRRConfig(
+        max_stops=k, max_adjacent_cost=1.5, alpha=4.0, **FOLD_SWITCH_SETS[switches]
+    )
+    seen: Counter = Counter()
+    marginal_gains, true_prices = _checked(seen)
+    with mock.patch.object(SelectionState, "marginal_gains", marginal_gains), \
+            mock.patch.object(SelectionState, "true_prices", true_prices):
+        plan_route(instance, config, preprocess=pre)
+        state = SelectionState(instance, pre, config)
+        universe = np.array(instance.candidates + instance.existing_stops)
+        for pick in sequence:
+            stop = int(universe[pick % universe.size])
+            if stop not in state.selected_set:
+                state.select(stop)
+            state.marginal_gains(universe)
+            state.true_prices(universe)
+    assert seen["existing"] and seen["empty rnn"] and seen["candidate"]
+    assert seen["price"]
