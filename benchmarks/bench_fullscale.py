@@ -4,8 +4,8 @@ The pluggable search-kernel layer exists for exactly one reason: the
 pure-Python heapq loops stop scaling once a city has tens of thousands
 of road nodes, while the vectorized CSR backend (compiled scipy
 Dijkstra over the shared numpy views) keeps the dense primitives —
-full-row SSSP, multi-source fields, bounded rows, and the query-rooted
-balls of Algorithm 2 — cheap.  This bench times the same dense workload
+full-row SSSP, multi-source fields and the query-rooted balls of
+Algorithm 2 — cheap.  This bench times the same dense workload
 under both backends on a ladder of synthetic cities (one per generator
 family, largest last), asserts the outputs are bit-identical while it
 is at it, and **gates a >= 3x vectorized speedup on the largest city**.
@@ -40,8 +40,6 @@ FULLSCALE_SCALE = env_float("REPRO_BENCH_FULLSCALE_SCALE", 1.0)
 REQUIRED_SPEEDUP = 3.0
 NUM_SSSP = 6
 NUM_MULTI_SEEDS = 48
-BOUNDED_ROWS = 4
-BOUNDED_COST = 2.0
 
 
 def _ladder():
@@ -76,8 +74,8 @@ def _ball_inputs(network):
     engine = SearchEngine(network)
     field = engine.multi_source_labels(seeds, cached=False)
     queries = list(range(0, n, 2))
-    nn_forward = engine.label_forward_distances(field, queries)
-    labels = [field.label[q] for q in queries]
+    nn_forward = field.forward_distances(queries)
+    labels = field.label[queries].tolist()
     seed_set = set(seeds)
     is_candidate = [False] * n
     for u in [u for u in range(n) if u not in seed_set][::6]:
@@ -87,16 +85,13 @@ def _ball_inputs(network):
 
 def _dense_workload(engine, network, balls):
     """The dense searches a full-city planning pass leans on: single
-    source rows, one multi-source field, bounded adjacency rows, and
-    one batched ball pass.  Caches are bypassed so the kernels are what
+    source rows, one multi-source field, and one batched ball pass.  Caches are bypassed so the kernels are what
     is being timed.  Returns the outputs and the ball pass's seconds."""
     n = network.num_nodes
     rows = []
     for s in range(0, n, max(1, n // NUM_SSSP))[:NUM_SSSP]:
         rows.append(engine.sssp(s, cached=False))
     rows.append(engine.multi_source(_seeds(n), cached=False))
-    for s in range(0, n, max(1, n // BOUNDED_ROWS))[:BOUNDED_ROWS]:
-        rows.append(engine.sssp(s, max_cost=BOUNDED_COST, cached=False))
     start = obs_now()
     columns = engine.batch_query_rows(*balls)
     elapsed = obs_now() - start

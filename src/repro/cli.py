@@ -362,8 +362,7 @@ def _cmd_plan(args) -> int:
         print(
             f"engine cache: {info.hits} hits / {info.misses} misses "
             f"(hit rate {info.hit_rate:.1%}), {info.rows} rows and "
-            f"{info.points} point entries resident, "
-            f"{info.evictions} evictions, {info.invalidations} invalidations"
+            f"{info.points} point entries resident, {info.evictions} evictions"
         )
     if not result.is_feasible:
         print("violations:", "; ".join(result.constraint_violations))

@@ -59,18 +59,18 @@ def search_stats_table(result: EBRRResult) -> str:
     lines: List[str] = ["search profile (per phase):"]
     header = (
         f"  {'phase':<11} {'searches':>9} {'cache hits':>11} "
-        f"{'settled':>9} {'pushes':>9} {'truncated':>10}"
+        f"{'settled':>9} {'pushes':>9}"
     )
     lines.append(header)
     for phase, stats in result.search_stats.items():
         lines.append(
             f"  {phase:<11} {stats.searches:>9} {stats.cache_hits:>11} "
-            f"{stats.settled:>9} {stats.pushes:>9} {stats.truncated:>10}"
+            f"{stats.settled:>9} {stats.pushes:>9}"
         )
     total = result.total_search_stats
     lines.append(
         f"  {'total':<11} {total.searches:>9} {total.cache_hits:>11} "
-        f"{total.settled:>9} {total.pushes:>9} {total.truncated:>10}"
+        f"{total.settled:>9} {total.pushes:>9}"
     )
     return "\n".join(lines)
 

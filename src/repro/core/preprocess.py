@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,6 +99,16 @@ class RNNTable(NamedTuple):
             np.array([q for q, _ in pairs], dtype=np.int64),
             np.array([d for _, d in pairs], dtype=np.float64),
         )
+
+
+class UtilityOrder(NamedTuple):
+    """The queue Algorithm 2 returns: every stop in ``(-U, id)`` order
+    (decreasing initial utility, ties broken by node id), as arrays,
+    plus the stop ids as a list."""
+
+    utilities: np.ndarray  # float64, non-increasing
+    stops: np.ndarray  # int64
+    stop_list: List[int]
 
 
 class RNNView(Mapping[int, List[Tuple[int, float]]]):
@@ -169,6 +180,9 @@ class PreprocessResult:
             they are identical across kernel backends.
 
     Derived once per result, for selection (all read-only):
+        utility_order: the stops in decreasing initial-utility order
+            (:class:`UtilityOrder`), derived on first read — a result's
+            utilities are final once it is returned.
         nearest: per node, ``dist(q, nn(q))`` (``inf`` at nodes holding
             no query).
         terms: per table entry, the gain term
@@ -214,13 +228,16 @@ class PreprocessResult:
         indptr = self.query_indptr
         return self.query_entries[_ranges(indptr[nodes], indptr[nodes + 1])]
 
-    def utility_order(self) -> List[Tuple[float, int]]:
-        """``(U(v), v)`` pairs in decreasing utility order — the queue
-        Algorithm 2 returns (ties broken by node id for determinism)."""
-        return sorted(
-            ((u, v) for v, u in self.initial_utility.items()),
-            key=lambda item: (-item[0], item[1]),
-        )
+    @cached_property
+    def utility_order(self) -> UtilityOrder:
+        """The stops of :attr:`initial_utility` in ``(-U, id)`` order
+        (see :class:`UtilityOrder`), derived once."""
+        table = self.initial_utility
+        stops = np.fromiter(table.keys(), np.int64, len(table))
+        utilities = np.fromiter(table.values(), np.float64, len(table))
+        rank = np.lexsort((stops, -utilities))
+        stops = stops[rank]
+        return UtilityOrder(utilities[rank], stops, stops.tolist())
 
 
 def preprocess_queries(
@@ -429,9 +446,7 @@ def _inverted_search(
     stops = [i for i, flag in enumerate(instance.is_existing) if flag]
     with span("preprocess.labels", stops=len(stops), queries=len(nodes)):
         label_field = engine.multi_source_labels(stops, phase="preprocess")
-        nn_forward = engine.label_forward_distances(
-            label_field, nodes, phase="preprocess"
-        )
+        nn_forward = label_field.forward_distances(nodes)
         for node, nn_dist in zip(nodes, nn_forward):
             if nn_dist == _INF:
                 raise GraphError(
@@ -442,7 +457,8 @@ def _inverted_search(
             active.metrics.counter("preprocess.labels.reachable").inc(
                 label_field.reachable
             )
-    labels = [label_field.label[node] for node in nodes]
+    node_ids = np.asarray(nodes, dtype=np.int64)
+    labels = label_field.label[node_ids].tolist()
     with span("preprocess.balls", queries=len(nodes)):
         member_counts, member_nodes, member_dists, settled = engine.batch_query_rows(
             nodes, nn_forward, labels, instance.is_candidate, phase="preprocess"
@@ -451,7 +467,7 @@ def _inverted_search(
         if active is not None:
             active.metrics.counter("preprocess.balls.count").inc(len(nodes))
             active.metrics.counter("preprocess.balls.settled").inc(ball_nodes)
-    member_queries = np.repeat(np.asarray(nodes, dtype=np.int64), member_counts)
+    member_queries = np.repeat(node_ids, member_counts)
     table = _group_by_candidate(num_nodes, member_queries, member_nodes, member_dists)
     return (
         dict(zip(nodes, nn_forward)),

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from ..network.engine import SearchEngine, engine_for
 from ..obs import span
 from .config import EBRRConfig
 from .numeric import close
-from .preprocess import PreprocessResult, fold_rows
+from .preprocess import PreprocessResult, UtilityOrder, fold_rows
 from .price import LowerBoundPrice, prices_from_distances
 from .utility import BRRInstance
 
@@ -242,25 +242,6 @@ def unreachable(stop: int) -> InfeasibleRouteError:
     )
 
 
-class _UtilityOrder(NamedTuple):
-    """Algorithm 2's stops in ``(-U, id)`` order — the order of
-    :meth:`~repro.core.preprocess.PreprocessResult.utility_order` — as
-    arrays, plus the stop ids as a list."""
-
-    utilities: np.ndarray  # non-increasing
-    stops: np.ndarray
-    stop_list: List[int]
-
-    @classmethod
-    def of(cls, preprocess: PreprocessResult) -> "_UtilityOrder":
-        table = preprocess.initial_utility
-        stops = np.fromiter(table.keys(), np.int64, len(table))
-        utilities = np.fromiter(table.values(), np.float64, len(table))
-        rank = np.lexsort((stops, -utilities))
-        stops = stops[rank]
-        return cls(utilities[rank], stops, stops.tolist())
-
-
 def run_selection(
     instance: BRRInstance,
     preprocess: PreprocessResult,
@@ -297,7 +278,7 @@ def _select_with_state(
     gains and ``dist(·, B)``) that path refinement continues from."""
     trace = SelectionTrace()
     state = SelectionState(instance, preprocess, config, engine=engine)
-    order = _UtilityOrder.of(preprocess)
+    order = preprocess.utility_order
     if not order.stop_list:
         raise InfeasibleRouteError("no candidate or existing stops to select from")
 
@@ -329,7 +310,7 @@ def _select_with_state(
 
 def _pick_most_profitable(
     state: SelectionState,
-    order: _UtilityOrder,
+    order: UtilityOrder,
     config: EBRRConfig,
     trace: SelectionTrace,
 ) -> Optional[Tuple[int, float, int]]:
@@ -374,7 +355,7 @@ def _walk(
 
 def _pick_exhaustive(
     state: SelectionState,
-    order: _UtilityOrder,
+    order: UtilityOrder,
     config: EBRRConfig,
     trace: SelectionTrace,
 ) -> Optional[Tuple[int, float, int]]:
@@ -429,7 +410,7 @@ def _pick_exhaustive(
 
 def _pick_lazy(
     state: SelectionState,
-    order: _UtilityOrder,
+    order: UtilityOrder,
     config: EBRRConfig,
     trace: SelectionTrace,
 ) -> Optional[Tuple[int, float, int]]:

@@ -16,15 +16,19 @@ the whole multiset: the changed queries' table entries come from the
 preprocessing's by-query index, and the RNN table's arrays are rebuilt
 by a few vectorized passes (``np.delete`` of the retired entries,
 ``np.insert`` of the added ones at the ends of their rows) — the input
-is never written.  The added-node searches run the paper's per-query
-search (:func:`~repro.core.preprocess.query_search_rows`), whose cost
-scales with the number of added nodes.
+is never written.  The utilities of the rows those entries touch are
+refolded from the new table's terms with Algorithm 2's own left fold,
+so a utility depends only on its row's entries: an update followed by
+its inverse restores every utility bit for bit.  The added-node
+searches run the paper's per-query search
+(:func:`~repro.core.preprocess.query_search_rows`), whose cost scales
+with the number of added nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from ..obs import span
 from .preprocess import (
     PreprocessResult,
     RNNTable,
+    fold_rows,
     query_search_rows,
     query_weights,
     row_offsets,
@@ -106,42 +111,29 @@ def _apply_update(
     stats = UpdateStats()
     table = preprocess.table
     nn_distance = dict(preprocess.nn_distance)
-    utilities = dict(preprocess.initial_utility)
-    touched: Dict[int, None] = {}  # candidates whose utility moved
 
-    # Pass 1 — surviving nodes: rescale contributions by the count delta
-    # and collect fully-removed nodes for one batched retirement.
+    # Pass 1 — surviving nodes whose multiplicity changed: their terms
+    # move, and the fully removed ones are retired.
+    changed: List[int] = []
     retired: List[int] = []
     for node, old in old_counts.items():
         new = new_counts.get(node, 0)
         if old == new:
             continue
-        delta = new - old
-        nn_dist = nn_distance[node]
-        entries = preprocess.entries_of(np.array([node], dtype=np.int64))
-        for candidate, dist in zip(
-            _owners(table, entries).tolist(), table.dists[entries].tolist()
-        ):
-            utilities[candidate] += delta * (nn_dist - dist)
-            touched[candidate] = None
+        changed.append(node)
         if new == 0:
             retired.append(node)
             stats.removed_nodes += 1
         else:
             stats.rescaled_nodes += 1
+    changed_entries = preprocess.entries_of(np.array(changed, dtype=np.int64))
+    touched = _owners(table, changed_entries)
 
-    # Pass 2 — batched retirement: drop every retired entry at once.  A
-    # candidate whose row empties has lost every contributor, so its
-    # utility is pinned to exactly 0.0 rather than left to the dust
-    # clamp below.
+    # Pass 2 — batched retirement: drop every retired entry at once.
     removed = np.sort(preprocess.entries_of(np.array(retired, dtype=np.int64)))
-    affected = _owners(table, removed)
     lengths = np.diff(table.indptr) - np.bincount(
-        affected, minlength=table.indptr.size - 1
+        _owners(table, removed), minlength=table.indptr.size - 1
     )
-    for candidate in np.unique(affected).tolist():
-        if not lengths[candidate]:
-            utilities[candidate] = 0.0
     for node in retired:
         del nn_distance[node]
 
@@ -160,34 +152,32 @@ def _apply_update(
             phase="update",
         )
         for node, _nn_stop, nn_dist, visited in rows:
-            new = new_counts[node]
             nn_distance[node] = nn_dist
             searches += 1
             settled += len(visited) + 1
-            for candidate, dist in visited:
-                added_entries.append((candidate, node, dist))
-                utilities[candidate] = utilities.get(candidate, 0.0) + new * (
-                    nn_dist - dist
-                )
-                touched[candidate] = None
+            added_entries.extend((candidate, node, dist) for candidate, dist in visited)
     stats.added_nodes = stats.searches = searches
-
-    # Clamp float dust: utilities are non-negative by construction, and
-    # only the touched ones moved.
-    for candidate in touched:
-        if new_instance.is_candidate[candidate]:
-            value = utilities[candidate]
-            if -1e-9 < value < 0.0:
-                utilities[candidate] = 0.0
 
     result = PreprocessResult(
         nn_distance,
         _edited_table(table, removed, lengths, added_entries),
         query_weights(new_instance),
-        utilities,
+        dict(preprocess.initial_utility),
         searches=preprocess.searches + searches,
         settled_nodes=preprocess.settled_nodes + settled,
     )
+    # Refold every row whose terms moved — the changed queries' old
+    # rows and the rows that gained entries — from the new result's
+    # terms, the same left fold Algorithm 2 runs: a row's utility is
+    # then a function of its entries alone, so an update followed by
+    # its inverse restores every utility bit for bit.
+    refold = np.unique(
+        np.concatenate(
+            (touched, np.array([c for c, _, _ in added_entries], dtype=np.int64))
+        )
+    )
+    gains = fold_rows(result.terms, result.table.indptr, refold)
+    result.initial_utility.update(zip(refold.tolist(), gains.tolist()))
     return new_instance, result, stats
 
 

@@ -124,6 +124,6 @@ def uncovered_query_nodes(
     ``Q`` appears twice in the result.
     """
     dist = engine_for(queries.network).multi_source(
-        transit.existing_stops, max_cost=walk_limit_km, phase="demand"
+        transit.existing_stops, phase="demand"
     )
-    return [v for v in queries.nodes if not math.isfinite(dist[v])]
+    return [v for v in queries.nodes if dist[v] > walk_limit_km]

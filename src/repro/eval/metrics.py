@@ -59,18 +59,13 @@ def uncovered_demand_coverage(
     Returns:
         ``(covered_now, previously_uncovered)`` — multiset counts.
     """
-    network = queries.network
-    engine = engine_for(network)
-    existing_dist = engine.multi_source(
-        transit.existing_stops, max_cost=walk_limit_km, phase="evaluate"
-    )
-    uncovered = [v for v in queries.nodes if not math.isfinite(existing_dist[v])]
+    engine = engine_for(queries.network)
+    existing_dist = engine.multi_source(transit.existing_stops, phase="evaluate")
+    uncovered = [v for v in queries.nodes if existing_dist[v] > walk_limit_km]
     if not uncovered:
         return (0, 0)
-    route_dist = engine.multi_source(
-        list(route.stops), max_cost=walk_limit_km, phase="evaluate"
-    )
-    covered_now = sum(1 for v in uncovered if math.isfinite(route_dist[v]))
+    route_dist = engine.multi_source(list(route.stops), phase="evaluate")
+    covered_now = sum(1 for v in uncovered if route_dist[v] <= walk_limit_km)
     return covered_now, len(uncovered)
 
 

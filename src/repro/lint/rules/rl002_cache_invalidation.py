@@ -1,14 +1,14 @@
-"""RL002 — graph internals are only mutated by version-bumping methods.
+"""RL002 — road networks are immutable; nothing outside graph.py writes them.
 
-The engine's CSR snapshot and every cached search row stay valid only
-while :attr:`RoadNetwork.version` is unchanged.  The mutation methods in
-``network/graph.py`` (:meth:`add_edge`, :meth:`set_edge_cost`) bump the
-version; any *other* code writing to the adjacency/edge/coordinate
-internals mutates the graph behind the cache's back, and every
-subsequent search silently answers against the old topology.  This rule
-flags writes — assignments, augmented assignments, deletes, and mutating
-method calls — that reach a protected attribute.  ``network/graph.py``
-itself is excluded by config (it is the sanctioned mutator).
+A :class:`RoadNetwork` is built once by its constructor and never
+changes, which is what lets the engine build its CSR snapshot once and
+keep every cached search row for its lifetime.  Code that writes to a
+network's adjacency/edge/coordinate internals changes the graph behind
+the engine's back, and every subsequent search silently answers against
+the old topology.  This rule flags writes — assignments, augmented
+assignments, deletes, and mutating method calls — that reach a protected
+attribute.  ``network/graph.py`` itself is excluded by config (its
+constructor builds the internals).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 from ..registry import Rule, register
 
 #: RoadNetwork internals no outside code may write to.
-PROTECTED_ATTRIBUTES = frozenset({"_adj", "_edge_costs", "_coords", "_version"})
+PROTECTED_ATTRIBUTES = frozenset({"_adj", "_edge_costs", "_coords"})
 
 #: Method names that mutate a list/dict in place.
 MUTATING_METHODS = frozenset(
@@ -61,9 +61,9 @@ class CacheInvalidationRule(Rule):
     rule_id = "RL002"
     title = "cache-invalidation-hazard"
     rationale = (
-        "RoadNetwork adjacency/edge/coordinate internals may only be "
-        "written by graph.py mutation methods that bump _version; anything "
-        "else leaves the SearchEngine cache silently stale"
+        "RoadNetwork is immutable: its adjacency/edge/coordinate internals "
+        "are written only by its constructor in graph.py; any other write "
+        "leaves the SearchEngine's CSR and cache silently stale"
     )
 
     def _check_write_target(self, target: ast.AST) -> None:
@@ -71,9 +71,9 @@ class CacheInvalidationRule(Rule):
         if hit is not None:
             self.report(
                 hit,
-                f"write to graph internal '{hit.attr}' outside the "
-                "version-bumping mutators in network/graph.py; use "
-                "add_edge/set_edge_cost (or add a mutator that bumps _version)",
+                f"write to graph internal '{hit.attr}' outside "
+                "network/graph.py; a RoadNetwork is immutable, so build a "
+                "new one instead",
             )
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -103,7 +103,7 @@ class CacheInvalidationRule(Rule):
                 self.report(
                     hit,
                     f"mutating call .{func.attr}() on graph internal "
-                    f"'{hit.attr}' outside network/graph.py; route the "
-                    "change through a version-bumping mutator",
+                    f"'{hit.attr}' outside network/graph.py; a RoadNetwork "
+                    "is immutable, so build a new one instead",
                 )
         self.generic_visit(node)

@@ -3,8 +3,9 @@
 Every search in :mod:`repro.network.engine` iterates edges through this
 structure instead of calling :meth:`RoadNetwork.neighbors` per settled
 node.  The three parallel lists — ``indptr``, ``targets``, ``costs`` —
-are built once per network snapshot, so the hot inner loop touches only
-local list indexing (no method call, no tuple unpacking).
+are built once per network (a network is immutable), so the hot inner
+loop touches only local list indexing (no method call, no tuple
+unpacking).
 
 The neighbor order inside each row is **exactly** the order of
 ``network.neighbors(u)``, so heap tie-breaking is fixed by the graph
@@ -17,14 +18,10 @@ per-element access, and it keeps every cost a native ``float`` — numpy
 indexing would box ``np.float64`` scalars into the heaps and the
 results); the vectorized kernel reads the numpy views (``np_indptr`` /
 ``np_targets`` / ``np_costs``), which are materialised from the lists
-at most once per snapshot and cached on it, so backends share one
-build and one :meth:`is_current` invalidation path.  The vectorized
-kernel also reads ``np_coords``, the node coordinates as an array
-(cached the same way), to group query balls by spatial tile.
-
-A snapshot records the network's :attr:`~RoadNetwork.version`;
-:meth:`CSRAdjacency.is_current` tells callers (the engine) when a graph
-mutation has invalidated it.
+at most once and cached on the snapshot, so backends share one build.
+The vectorized kernel also reads ``np_coords``, the node coordinates
+as an array (cached the same way), to group query balls by spatial
+tile.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ class CSRAdjacency:
         targets: flat neighbor node ids.
         costs: flat edge costs, aligned with ``targets``.
         num_nodes: node count of the snapshot.
-        version: the network version this snapshot was built from.
     """
 
     __slots__ = (
@@ -54,7 +50,6 @@ class CSRAdjacency:
         "targets",
         "costs",
         "num_nodes",
-        "version",
         "_network",
         "_np_views",
         "_np_coords",
@@ -74,7 +69,6 @@ class CSRAdjacency:
         self.targets = targets
         self.costs = costs
         self.num_nodes = n
-        self.version = network.version
         self._network = network
         self._np_views: Optional[
             Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]
@@ -119,7 +113,7 @@ class CSRAdjacency:
     @property
     def np_coords(self) -> "numpy.ndarray":
         """Node coordinates as an ``(n, 2)`` float64 array (built once,
-        cached; coordinates never change with the network version)."""
+        cached)."""
         coords = self._np_coords
         if coords is None:
             import numpy as np
@@ -133,16 +127,9 @@ class CSRAdjacency:
         """Number of directed arcs (twice the undirected edge count)."""
         return len(self.targets)
 
-    def is_current(self) -> bool:
-        """Whether the source network is still at the snapshot version."""
-        return self._network.version == self.version
-
     def degree(self, node: int) -> int:
         """Out-degree of ``node`` in the snapshot."""
         return self.indptr[node + 1] - self.indptr[node]
 
     def __repr__(self) -> str:
-        return (
-            f"CSRAdjacency(|V|={self.num_nodes}, "
-            f"arcs={self.num_directed_edges}, version={self.version})"
-        )
+        return f"CSRAdjacency(|V|={self.num_nodes}, arcs={self.num_directed_edges})"

@@ -9,22 +9,23 @@ exists to avoid.  It is a single owned, cacheable, observable
 substrate:
 
 * searches iterate a flat :class:`~repro.network.csr.CSRAdjacency`
-  built once per network snapshot (invalidated automatically when the
-  graph's :attr:`~repro.network.graph.RoadNetwork.version` changes);
-* full and cost-bounded SSSP rows are memoised in an LRU cache keyed
-  ``(source, max_cost)`` (multi-source rows, label fields, cost balls,
-  point-to-point paths and distances have their own keys), so a K sweep
-  that re-orders the same selected stops, or a baseline that re-traces
-  the same OD pair, reuses the earlier row instead of re-searching;
+  built once per network (a :class:`~repro.network.graph.RoadNetwork`
+  is immutable, so the snapshot and every cached result stay valid for
+  the engine's lifetime);
+* SSSP rows are memoised in an LRU cache keyed ``("sssp", source)``
+  (multi-source rows, label fields, cost balls, point-to-point paths
+  and distances have their own keys), so a K sweep that re-orders the
+  same selected stops, or a baseline that re-traces the same OD pair,
+  reuses the earlier row instead of re-searching;
 * every call is accounted to a :class:`SearchStats` block under a
   caller-chosen *phase* label, surfacing searches run, cache hits,
-  nodes settled, heap pushes, and truncations per logical phase (the
+  nodes settled and heap pushes per logical phase (the
   ``--profile-searches`` CLI table and
   :attr:`~repro.core.result.EBRRResult.search_stats`);
 * the *algorithms* live one layer down, in the pluggable backends of
-  :mod:`repro.network.kernels`: the engine owns caching, stats and
-  snapshot invalidation and delegates each of the eight primitive
-  searches to a :class:`~repro.network.kernels.base.SearchKernel`
+  :mod:`repro.network.kernels`: the engine owns caching and stats and
+  delegates each of the seven primitive searches to a
+  :class:`~repro.network.kernels.base.SearchKernel`
   (``python`` heapq reference or scipy ``vectorized``).  The backend
   is chosen once, where the engine is built: ``SearchEngine(network,
   kernel=...)``, else ``$REPRO_KERNEL``, else the default.  Backends
@@ -82,8 +83,6 @@ QuerySearchRow = Tuple[int, int, float, List[Tuple[int, float]]]
 
 INF = math.inf
 
-_EPSILON = 1e-9
-
 
 @dataclass
 class SearchStats:
@@ -98,20 +97,15 @@ class SearchStats:
             This is the one *backend-defined* counter — heap pushes for
             the python kernel, reached-node counts for the vectorized
             one (see ``kernels.base``).
-        truncated: nodes discarded for exceeding a cost bound
-            (backend-independent).
     """
 
     searches: int = 0
     cache_hits: int = 0
     settled: int = 0
     pushes: int = 0
-    truncated: int = 0
 
     def copy(self) -> "SearchStats":
-        return SearchStats(
-            self.searches, self.cache_hits, self.settled, self.pushes, self.truncated
-        )
+        return SearchStats(self.searches, self.cache_hits, self.settled, self.pushes)
 
     def __add__(self, other: "SearchStats") -> "SearchStats":
         return SearchStats(
@@ -119,7 +113,6 @@ class SearchStats:
             self.cache_hits + other.cache_hits,
             self.settled + other.settled,
             self.pushes + other.pushes,
-            self.truncated + other.truncated,
         )
 
     def __sub__(self, other: "SearchStats") -> "SearchStats":
@@ -128,14 +121,10 @@ class SearchStats:
             self.cache_hits - other.cache_hits,
             self.settled - other.settled,
             self.pushes - other.pushes,
-            self.truncated - other.truncated,
         )
 
     def __bool__(self) -> bool:
-        return bool(
-            self.searches or self.cache_hits or self.settled
-            or self.pushes or self.truncated
-        )
+        return bool(self.searches or self.cache_hits or self.settled or self.pushes)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -143,7 +132,6 @@ class SearchStats:
             "cache_hits": self.cache_hits,
             "settled": self.settled,
             "pushes": self.pushes,
-            "truncated": self.truncated,
         }
 
 
@@ -156,7 +144,6 @@ class CacheInfo:
         evictions: entries dropped by the LRU bound.
         rows: SSSP/multi-source/ball rows currently cached.
         points: point-to-point paths and distances currently cached.
-        invalidations: times a graph mutation flushed everything.
     """
 
     hits: int = 0
@@ -164,7 +151,6 @@ class CacheInfo:
     evictions: int = 0
     rows: int = 0
     points: int = 0
-    invalidations: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -172,32 +158,70 @@ class CacheInfo:
         return self.hits / total if total else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelField:
-    """A converged nearest-source field over one CSR snapshot.
+    """A converged nearest-source field over one CSR snapshot, with its
+    canonical shortest-path tree.
 
     Produced by :meth:`SearchEngine.multi_source_labels` and consumed by
     the inverted Algorithm 2 preprocessing: ``distance[v]`` is the
     multi-source shortest-path cost from any source (bit-identical to
     :meth:`SearchEngine.multi_source`), ``label[v]`` the
     lexicographically smallest source id over tight shortest paths to
-    ``v`` (``-1`` when unreachable).  Cached on the engine keyed by
-    ``sources`` (the sorted, deduplicated stop-set fingerprint), so
-    repeated preprocessing over the same stops reuses the field.  Shared
-    with the cache: **treat ``distance`` and ``label`` as read-only.**
+    ``v``, and ``pred[v]``/``step[v]`` the canonical predecessor of
+    ``v`` — the tight in-neighbour with the smallest ``(distance[u],
+    u)`` — and the cost of that arc (see the kernel contract in
+    ``kernels.base``).  Cached on the engine keyed by ``sources`` (the
+    sorted, deduplicated stop-set fingerprint), so repeated
+    preprocessing over the same stops reuses the field and its tree.
+    Shared with the cache: **treat every array as read-only.**
 
     Attributes:
         sources: the fingerprint — sorted unique source node ids.
-        distance: per-node nearest-source cost (``inf`` unreachable).
-        label: per-node argmin source id (``-1`` unreachable).
+        distance: per-node nearest-source cost (float64, ``inf``
+            unreachable).
+        label: per-node argmin source id (int64, ``-1`` unreachable).
+        pred: per-node canonical predecessor (int64, ``-1`` at sources
+            and unreachable nodes).
+        step: per-node cost of the arc from ``pred`` (float64, ``0.0``
+            where ``pred`` is ``-1``).
         reachable: number of finite entries (the field's settled-node
             count, independent of how the field was computed).
     """
 
     sources: Tuple[int, ...]
-    distance: List[float]
-    label: List[int]
+    distance: np.ndarray
+    label: np.ndarray
+    pred: np.ndarray
+    step: np.ndarray
     reachable: int
+
+    def forward_distances(self, targets: Sequence[int]) -> List[float]:
+        """Forward-replayed nearest-source distance of each target: walk
+        the canonical tree from the target to its source, adding arc
+        costs in walk order — the float a per-query search from the
+        target would compute, in generic position (see
+        ``kernels.base``).  ``0.0`` at sources, ``inf`` for unreachable
+        targets; a walk over the field, not a search."""
+        nodes = np.asarray(list(targets), dtype=np.int64)
+        dist, pred, step = self.distance, self.pred, self.step
+        reachable = np.isfinite(dist[nodes])
+        acc = np.zeros(nodes.size)
+        cur = nodes.copy()
+        active = reachable & (dist[nodes] > 0.0)
+        # All walks step toward their source simultaneously; each round
+        # performs the same scalar addition a per-target walk performs
+        # at that depth, so the accumulated floats are identical.
+        while True:
+            idx = np.flatnonzero(active)
+            if not idx.size:
+                break
+            here = cur[idx]
+            acc[idx] += step[here]
+            nxt = pred[here]
+            cur[idx] = nxt
+            active[idx] = dist[nxt] > 0.0
+        return np.where(reachable, acc, INF).tolist()
 
 
 class SearchEngine:
@@ -205,8 +229,8 @@ class SearchEngine:
 
     Args:
         network: the road network to search.
-        cache_size: LRU bound on cached *rows* (full/bounded SSSP,
-            multi-source, cost-ball results; each is O(|V|)).  The
+        cache_size: LRU bound on cached *rows* (SSSP, multi-source,
+            label-field and cost-ball results; each is O(|V|)).  The
             point cache (paths, pairwise distances) is bounded at four
             times this value.
         kernel: search backend — a registered name (``"python"``,
@@ -246,8 +270,7 @@ class SearchEngine:
 
     @property
     def csr(self) -> CSRAdjacency:
-        """The current CSR snapshot (rebuilt here if the graph mutated)."""
-        self._sync()
+        """The network's CSR snapshot."""
         return self._csr
 
     @property
@@ -332,13 +355,6 @@ class SearchEngine:
         self._rows.clear()
         self._points.clear()
 
-    def _sync(self) -> None:
-        if not self._csr.is_current():
-            self._csr = CSRAdjacency(self._network)
-            self._rows.clear()
-            self._points.clear()
-            self._info.invalidations += 1
-
     def _get(
         self,
         store: "OrderedDict[tuple, object]",
@@ -371,74 +387,48 @@ class SearchEngine:
     # ------------------------------------------------------------------
 
     def sssp(
-        self,
-        source: int,
-        *,
-        max_cost: Optional[float] = None,
-        phase: str = "adhoc",
-        cached: bool = True,
+        self, source: int, *, phase: str = "adhoc", cached: bool = True
     ) -> List[float]:
         """Single-source shortest path costs (cached).
 
-        ``dist[v]`` is the cost of the cheapest path ``source -> v``;
-        with ``max_cost`` nodes beyond the bound are ``inf``.  The
-        returned list is shared with the cache — **read-only**.
+        ``dist[v]`` is the cost of the cheapest path ``source -> v``
+        (``inf`` when unreachable).  The returned list is shared with
+        the cache — **read-only**.
 
         Args:
             source: start node.
-            max_cost: optional truncation radius.
             phase: stats bucket to account the work to.
             cached: disable the cache for one-off sweeps (e.g. exact
                 diameter computation) that would churn the LRU.
         """
-        self._sync()
         stats = self.counters(phase)
-        key = ("sssp", source, max_cost)
+        key = ("sssp", source)
         if cached:
             row = self._get(self._rows, key, stats)
             if row is not None:
                 return row  # type: ignore[return-value]
-            if max_cost is not None:
-                full = self._rows.get(("sssp", source, None))
-                if full is not None:
-                    # Derive the bounded row from the cached full row.
-                    self._rows.move_to_end(("sssp", source, None))
-                    self._info.hits += 1
-                    self._info.misses -= 1  # the exact-key probe above
-                    stats.cache_hits += 1
-                    derived = [d if d <= max_cost else INF for d in full]  # type: ignore[union-attr]
-                    self._put(self._rows, key, derived, self._cache_size)
-                    return derived
-        dist = self._kernel.sssp(self._csr, [source], max_cost, stats)
+        dist = self._kernel.sssp(self._csr, [source], stats)
         if cached:
             self._put(self._rows, key, dist, self._cache_size)
         return dist
 
     def multi_source(
-        self,
-        sources: Sequence[int],
-        *,
-        max_cost: Optional[float] = None,
-        phase: str = "adhoc",
-        cached: bool = True,
+        self, sources: Sequence[int], *, phase: str = "adhoc", cached: bool = True
     ) -> List[float]:
         """Cost of the cheapest path from *any* source to each node
         (cached; Dijkstra from a virtual super-source joined to every
         source by a zero-cost edge).  The returned list is shared with
         the cache — **read-only**."""
-        self._sync()
         stats = self.counters(phase)
         source_list = list(sources)
         if len(source_list) == 1:
-            return self.sssp(
-                source_list[0], max_cost=max_cost, phase=phase, cached=cached
-            )
-        key = ("ms", tuple(source_list), max_cost)
+            return self.sssp(source_list[0], phase=phase, cached=cached)
+        key = ("ms", tuple(source_list))
         if cached:
             row = self._get(self._rows, key, stats)
             if row is not None:
                 return row  # type: ignore[return-value]
-        dist = self._kernel.sssp(self._csr, source_list, max_cost, stats)
+        dist = self._kernel.sssp(self._csr, source_list, stats)
         if cached:
             self._put(self._rows, key, dist, self._cache_size)
         return dist
@@ -453,7 +443,6 @@ class SearchEngine:
         Raises:
             GraphError: if ``target`` is unreachable.
         """
-        self._sync()
         stats = self.counters(phase)
         key = ("path", source, target)
         entry = self._get(self._points, key, stats)
@@ -470,11 +459,10 @@ class SearchEngine:
         per ``(source, target)`` pair."""
         if source == target:
             return 0.0
-        self._sync()
         stats = self.counters(phase)
-        full = self._rows.get(("sssp", source, None))
+        full = self._rows.get(("sssp", source))
         if full is not None:
-            self._rows.move_to_end(("sssp", source, None))
+            self._rows.move_to_end(("sssp", source))
             self._info.hits += 1
             stats.cache_hits += 1
             return full[target]  # type: ignore[index]
@@ -506,7 +494,6 @@ class SearchEngine:
         Raises:
             GraphError: if no existing stop is reachable.
         """
-        self._sync()
         stats = self.counters(phase)
         return self._kernel.query_search(
             self._csr, query_node, is_existing_stop, is_candidate_stop, stats
@@ -515,12 +502,11 @@ class SearchEngine:
     def multi_source_labels(
         self, sources: Sequence[int], *, phase: str = "adhoc", cached: bool = True
     ) -> "LabelField":
-        """The nearest-source :class:`LabelField` of ``sources`` (one
-        multi-source search plus a label post-pass; see the kernel
-        contract in ``kernels.base``), cached keyed on the stop-set
-        fingerprint (the sorted unique sources).  A miss runs one fresh
-        multi-source search."""
-        self._sync()
+        """The nearest-source :class:`LabelField` of ``sources`` and its
+        canonical tree (one multi-source search plus a post-pass; see
+        the kernel contract in ``kernels.base``), cached keyed on the
+        stop-set fingerprint (the sorted unique sources).  A miss runs
+        one fresh multi-source search."""
         stats = self.counters(phase)
         fingerprint = tuple(sorted(set(sources)))
         key = ("labels", fingerprint)
@@ -528,33 +514,20 @@ class SearchEngine:
             entry = self._get(self._rows, key, stats)
             if entry is not None:
                 return entry  # type: ignore[return-value]
-        distance, label = self._kernel.multi_source_labels(
+        distance, label, pred, step = self._kernel.multi_source_labels(
             self._csr, list(fingerprint), stats
         )
         field = LabelField(
-            fingerprint, distance, label, sum(1 for d in distance if d != INF)
+            fingerprint,
+            distance,
+            label,
+            pred,
+            step,
+            int(np.count_nonzero(np.isfinite(distance))),
         )
         if cached:
             self._put(self._rows, key, field, self._cache_size)
         return field
-
-    def label_forward_distances(
-        self,
-        field: "LabelField",
-        targets: Sequence[int],
-        *,
-        phase: str = "adhoc",
-    ) -> List[float]:
-        """Forward-replayed nearest-source distance of each target over
-        ``field`` (which must belong to the current snapshot): the float
-        a per-query search from the target would compute, in generic
-        position (see ``kernels.base``).  ``inf`` for unreachable
-        targets; a cheap post-pass, not a search."""
-        self._sync()
-        stats = self.counters(phase)
-        return self._kernel.forward_replay(
-            self._csr, field.distance, list(targets), stats
-        )
 
     def batch_query_rows(
         self,
@@ -568,12 +541,12 @@ class SearchEngine:
         """One pruned query-rooted ball per query node, in columnar
         form (see the kernel contract in ``kernels.base``): the caller
         supplies each query's forward-replayed nearest-stop distance
-        and label from a :class:`LabelField`, and gets back
+        and label from a :class:`LabelField`
+        (:meth:`LabelField.forward_distances`), and gets back
         ``(member_counts, member_nodes, member_dists, settled)`` as
         int64/int64/float64/int64 arrays.  Uncached — the result
         depends on the instance's candidate mask, not only on the
         graph."""
-        self._sync()
         stats = self.counters(phase)
         return self._kernel.batch_query_rows(
             self._csr,
@@ -597,7 +570,6 @@ class SearchEngine:
         ``source`` itself — the truncated ball used by refinement and
         post-processing.  The returned list is shared with the cache —
         **read-only**."""
-        self._sync()
         stats = self.counters(phase)
         key = ("within", source, max_cost)
         if cached:
@@ -614,7 +586,6 @@ class SearchEngine:
         EBRR ``dist(·, B)`` structure): the minimum of its sources'
         cached :meth:`sssp` rows, folded when read and accounted to
         ``phase``."""
-        self._sync()
         return IncrementalNearest(self, phase)
 
 

@@ -4,6 +4,9 @@ A :class:`RoadNetwork` is a connected undirected graph whose nodes are
 integers ``0..n-1`` with finite planar coordinates and whose edges carry
 a positive, finite cost (kilometres by convention, but any
 user-preferred cost such as travel time works — see Definition 1).
+A network is immutable once built: every network comes from the
+constructor (the generators, the DIMACS loader, :meth:`subgraph`), so a
+search engine's CSR snapshot and cached rows never go stale.
 
 The representation is a compact adjacency list: ``_adj[u]`` is a list of
 ``(v, cost)`` pairs.  Node ids being dense integers lets every algorithm
@@ -58,7 +61,12 @@ class RoadNetwork:
                 raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
             if u == v:
                 raise GraphError(f"self loop at node {u} is not allowed")
-            _check_cost(u, v, cost)
+            if not 0.0 < cost < math.inf:
+                # The search kernels assume strictly positive, finite
+                # costs (NaN fails both tests).
+                raise GraphError(
+                    f"edge ({u}, {v}) has non-positive or non-finite cost {cost}"
+                )
             key = (u, v) if u < v else (v, u)
             prev = seen.get(key)
             if prev is None or cost < prev:
@@ -67,10 +75,6 @@ class RoadNetwork:
             self._adj[u].append((v, cost))
             self._adj[v].append((u, cost))
         self._edge_costs: Dict[Tuple[int, int], float] = seen
-        #: structural version, bumped by every mutation; consumers that
-        #: snapshot the graph (CSR adjacency, search caches) compare it
-        #: to detect staleness.
-        self._version: int = 0
         if validate_connected and not self.is_connected():
             raise GraphError("road network must be connected (Definition 1)")
 
@@ -82,14 +86,6 @@ class RoadNetwork:
     def num_nodes(self) -> int:
         """Number of nodes ``|V|``."""
         return len(self._coords)
-
-    @property
-    def version(self) -> int:
-        """Monotone structural version: 0 at construction, +1 per
-        mutation (:meth:`add_edge`, :meth:`set_edge_cost`).  Derived
-        snapshots (CSR adjacency, cached search results) are valid only
-        while the version they recorded matches."""
-        return self._version
 
     @property
     def num_edges(self) -> int:
@@ -150,52 +146,6 @@ class RoadNetwork:
     def total_edge_cost(self) -> float:
         """Sum of all edge costs (total road length)."""
         return sum(self._edge_costs.values())
-
-    # ------------------------------------------------------------------
-    # Mutation (bumps ``version``)
-    # ------------------------------------------------------------------
-
-    def add_edge(self, u: int, v: int, cost: float) -> None:
-        """Add a new undirected edge ``(u, v)`` with ``cost``.
-
-        Raises:
-            GraphError: on self loops, out-of-range nodes, a cost outside
-                ``(0, inf)``, or if the edge already exists (use
-                :meth:`set_edge_cost` to re-cost an edge).
-        """
-        n = self.num_nodes
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-        if u == v:
-            raise GraphError(f"self loop at node {u} is not allowed")
-        _check_cost(u, v, cost)
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_costs:
-            raise GraphError(f"edge ({u}, {v}) already exists")
-        self._edge_costs[key] = float(cost)
-        self._adj[u].append((v, float(cost)))
-        self._adj[v].append((u, float(cost)))
-        self._version += 1
-
-    def set_edge_cost(self, u: int, v: int, cost: float) -> None:
-        """Change the cost of the existing edge ``(u, v)``.
-
-        Raises:
-            GraphError: if the edge does not exist or ``cost`` is outside
-                ``(0, inf)``.
-        """
-        _check_cost(u, v, cost)
-        key = (u, v) if u < v else (v, u)
-        if key not in self._edge_costs:
-            raise GraphError(f"no edge between {u} and {v}")
-        self._edge_costs[key] = float(cost)
-        for a, b in ((u, v), (v, u)):
-            adj = self._adj[a]
-            for i, (node, _) in enumerate(adj):
-                if node == b:
-                    adj[i] = (b, float(cost))
-                    break
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Structure
@@ -293,9 +243,3 @@ class RoadNetwork:
     def __repr__(self) -> str:
         return f"RoadNetwork(|V|={self.num_nodes}, |E|={self.num_edges})"
 
-
-def _check_cost(u: int, v: int, cost: float) -> None:
-    """Reject any edge cost outside ``(0, inf)``: the search kernels
-    assume strictly positive, finite costs (NaN fails both tests)."""
-    if not 0.0 < cost < math.inf:
-        raise GraphError(f"edge ({u}, {v}) has non-positive or non-finite cost {cost}")

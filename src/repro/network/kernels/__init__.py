@@ -1,8 +1,8 @@
 """Pluggable search-kernel backends for :class:`SearchEngine`.
 
 This package is the algorithmic substrate of the search layer: the
-engine owns caching, per-phase stats and snapshot invalidation, and
-delegates every primitive search to a :class:`SearchKernel` backend.
+engine owns caching and per-phase stats, and delegates each of the
+seven primitive searches to a :class:`SearchKernel` backend.
 ``python`` is the reference heapq implementation; ``vectorized`` runs
 the dense primitives on scipy's compiled csgraph Dijkstra over the
 CSR's numpy views, with the query balls of Algorithm 2 run as

@@ -1,17 +1,17 @@
 """The ``SearchKernel`` protocol: the primitive-search contract.
 
 A kernel is the *algorithmic substrate* under
-:class:`~repro.network.engine.SearchEngine`: it runs the eight primitive
-searches that plans reach — full/bounded and multi-source SSSP (prices,
-Christofides ordering), point-to-point path and distance and cost balls
-(refinement, post-processing), the Algorithm 2 query search (the
-per-query oracle) and its batched inverted form (label field, forward
-replay, query balls) — over one
+:class:`~repro.network.engine.SearchEngine`: it runs the seven primitive
+searches that plans reach — single- and multi-source SSSP (prices,
+Christofides ordering, the walk-limit metrics), point-to-point path and
+distance and cost balls (refinement, post-processing), the Algorithm 2
+query search (the per-query oracle) and its batched inverted form (the
+label field with its canonical tree, query balls) — over one
 :class:`~repro.network.csr.CSRAdjacency` snapshot and accounts
 its work to a caller-supplied :class:`~repro.network.engine.SearchStats`
 block.  Everything *above* the kernel — the LRU caches, the per-phase
-stats ledger, snapshot invalidation, the public API — lives in the
-engine and is backend-independent.
+stats ledger, the public API — lives in the engine and is
+backend-independent.
 
 The relaxation-order contract
 -----------------------------
@@ -26,14 +26,14 @@ with strictly positive edge costs:
   the same float set (``dist[u] + cost(u, v)`` with the *final* value
   of ``dist[u]``), so the minimum is the same bit pattern;
 * **predecessor tie-breaks**: where a predecessor is exposed (the
-  ``path`` primitive), ties resolve to the predecessor that settles
-  first in the reference order — non-decreasing ``(distance, node
-  id)``;
+  ``path`` primitive and the label field's tree), ties resolve to the
+  predecessor that settles first in the reference order —
+  non-decreasing ``(distance, node id)``;
 * **settle order**: ordered outputs (``nodes_within``) list nodes in
   the reference settle order, i.e. sorted by ``(distance, node id)``;
-* **counters**: ``searches``, ``settled`` and ``truncated`` are
-  identical to the reference backend — they count *nodes*, not
-  implementation steps, and the node sets are fixed by the contract.
+* **counters**: ``searches`` and ``settled`` are identical to the
+  reference backend — they count *nodes*, not implementation steps,
+  and the node sets are fixed by the contract.
   ``pushes`` is the one backend-defined counter: it measures frontier
   insertions under the backend's own relaxation schedule (heap pushes
   for the heapq backend, reached-node counts for the vectorized one)
@@ -42,10 +42,10 @@ with strictly positive edge costs:
 The inverted-preprocessing primitives
 -------------------------------------
 
-``multi_source_labels`` and ``forward_replay`` start batching
-Algorithm 2 by inverting it: instead of learning each query's nearest
-existing stop from its own Dijkstra, one backward multi-source field
-from the existing stops labels every node at once.  They rely on the
+``multi_source_labels`` starts batching Algorithm 2 by inverting it:
+instead of learning each query's nearest existing stop from its own
+Dijkstra, one backward multi-source field from the existing stops
+labels every node at once.  They rely on the
 :class:`~repro.network.graph.RoadNetwork` invariant that the graph is
 **undirected** (both arcs of every edge are in the CSR with the same
 cost), so a distance accumulated *from* a stop equals — in exact
@@ -60,9 +60,13 @@ canonical tight shortest-path tree of the field:
   ``<=`` is an exact float equality test: ``dist[u] + cost`` is always
   ``>= dist[v]`` at the fixed point);
 * the **canonical predecessor** of ``v`` is the tight in-neighbour
-  minimising ``(dist[u], u)`` — deterministic and backend-independent;
-* a **forward replay** walks the canonical predecessor chain from a
-  node towards its field source, re-adding edge costs in walk order
+  minimising ``(dist[u], u)`` — deterministic and backend-independent.
+  The field carries it per node, with the cost of that arc, so the
+  field *is* its canonical shortest-path tree;
+* a **forward replay**
+  (:meth:`~repro.network.engine.LabelField.forward_distances`) walks
+  the canonical predecessor chain from a node towards its field
+  source, re-adding edge costs in walk order
   (``acc = 0; acc += c0; acc += c1; ...``) — exactly the order the
   reference per-query Dijkstra adds them, so in generic position (no
   two distinct paths within an ulp of each other) the replayed float is
@@ -71,7 +75,7 @@ canonical tight shortest-path tree of the field:
   only the measure-zero in-between (distinct paths equal in backward
   float order but not forward) can differ, documented in DESIGN.md.
 
-``batch_query_rows`` is the third inverted primitive: once the label
+``batch_query_rows`` is the second inverted primitive: once the label
 field has replayed every query's truncation radius ``nn_forward(q)``,
 the ``|Q|`` per-query searches become **query-rooted balls** — one
 pruned relaxation per query node, all batchable over the product graph
@@ -91,7 +95,7 @@ on all three synthetic city families.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     import numpy as np
@@ -101,7 +105,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 
 class SearchKernel(Protocol):
-    """The eight primitive searches every backend implements.
+    """The seven primitive searches every backend implements.
 
     All methods take the CSR snapshot and the stats block explicitly —
     kernels are stateless and shareable across engines; per-network
@@ -115,11 +119,10 @@ class SearchKernel(Protocol):
         self,
         csr: "CSRAdjacency",
         sources: Sequence[int],
-        max_cost: Optional[float],
         stats: "SearchStats",
     ) -> List[float]:
-        """Single- or multi-source shortest-path costs; ``inf`` beyond
-        ``max_cost`` when a bound is given."""
+        """Single- or multi-source shortest-path costs (``inf`` where
+        no source reaches)."""
         ...
 
     def path(
@@ -160,10 +163,10 @@ class SearchKernel(Protocol):
         self,
         csr: "CSRAdjacency",
         source: int,
-        max_cost: float,
+        radius: float,
         stats: "SearchStats",
     ) -> List[Tuple[int, float]]:
-        """All ``(node, dist)`` within ``max_cost`` (plus epsilon) of
+        """All ``(node, dist)`` within ``radius`` (plus epsilon) of
         ``source``, in settle order, excluding ``source``."""
         ...
 
@@ -172,28 +175,18 @@ class SearchKernel(Protocol):
         csr: "CSRAdjacency",
         sources: Sequence[int],
         stats: "SearchStats",
-    ) -> Tuple[List[float], List[int]]:
-        """The nearest-source field: ``(distance, label)`` lists where
-        ``distance[v]`` is the multi-source shortest-path cost from any
-        source (one search, bit-identical to :meth:`sssp`) and
-        ``label[v]`` is the **lexicographically smallest source id over
-        tight shortest paths** to ``v`` (``-1`` when unreachable) — a
-        pure post-pass over the converged field."""
-        ...
-
-    def forward_replay(
-        self,
-        csr: "CSRAdjacency",
-        distance: Sequence[float],
-        targets: Sequence[int],
-        stats: "SearchStats",
-    ) -> List[float]:
-        """Forward re-accumulation of ``distance`` (a converged
-        multi-source field) for each target: walk the canonical tight
-        predecessor chain from the target to its field source, summing
-        edge costs in walk order (see the module docstring).  Returns
-        one float per target (``0.0`` for sources, ``inf`` when
-        unreachable).  A post-pass, not a search: no counters move."""
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The nearest-source field and its canonical tree, as four
+        arrays ``(distance, label, pred, step)`` of dtypes float64,
+        int64, int64 and float64: ``distance[v]`` is the multi-source
+        shortest-path cost from any source (one search, bit-identical
+        to :meth:`sssp`); ``label[v]`` is the **lexicographically
+        smallest source id over tight shortest paths** to ``v``;
+        ``pred[v]`` is ``v``'s canonical predecessor and ``step[v]``
+        the cost of that arc (see the module docstring).  ``label`` is
+        ``-1`` at unreachable nodes, ``pred`` is ``-1`` and ``step``
+        ``0.0`` at sources and unreachable nodes.  Everything after the
+        search is a pure post-pass over the converged field."""
         ...
 
     def batch_query_rows(
@@ -230,9 +223,8 @@ class SearchKernel(Protocol):
         2's columnar RNN table (``repro.core.preprocess.RNNTable``)
         with no python-object round trip, and the cross-backend parity
         check is ``np.array_equal`` per column, dtypes included.
-        Counters: one search per query
-        node; ``settled`` sums the reached-set sizes (a fixed point of
-        the gate, so identical across backends and across any
-        chunking); balls never truncate; ``pushes`` is
+        Counters: one search per query node; ``settled`` sums the
+        reached-set sizes (a fixed point of the gate, so identical
+        across backends and across any chunking); ``pushes`` is
         backend-defined."""
         ...

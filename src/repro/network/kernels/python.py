@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class PythonKernel:
         self,
         csr: "CSRAdjacency",
         sources: Sequence[int],
-        max_cost: Optional[float],
         stats: "SearchStats",
     ) -> List[float]:
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
@@ -65,19 +64,9 @@ class PythonKernel:
         stats.searches += 1
         pushes = len(heap)
         settled = 0
-        truncated = 0
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
-                continue
-            if max_cost is not None and d > max_cost:
-                # Beyond the bound: skip expansion.  Do NOT reset
-                # dist[u] here — pops are non-decreasing, so resetting
-                # to INF lets stale heap entries for u sneak past the
-                # staleness check above and redo the bound test; the
-                # final sweep below masks every out-of-bound node
-                # exactly once.
-                truncated += 1
                 continue
             settled += 1
             for i in range(indptr[u], indptr[u + 1]):
@@ -87,13 +76,8 @@ class PythonKernel:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
                     pushes += 1
-        if max_cost is not None:
-            for v in range(n):
-                if dist[v] > max_cost:
-                    dist[v] = INF
         stats.settled += settled
         stats.pushes += pushes
-        stats.truncated += truncated
         return dist
 
     def path(
@@ -206,7 +190,7 @@ class PythonKernel:
         self,
         csr: "CSRAdjacency",
         source: int,
-        max_cost: float,
+        radius: float,
         stats: "SearchStats",
     ) -> List[Tuple[int, float]]:
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
@@ -227,7 +211,7 @@ class PythonKernel:
             for i in range(indptr[u], indptr[u + 1]):
                 v = targets[i]
                 nd = d + costs[i]
-                if nd <= max_cost + EPSILON and nd < dist.get(v, INF):
+                if nd <= radius + EPSILON and nd < dist.get(v, INF):
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
                     stats.pushes += 1
@@ -238,12 +222,14 @@ class PythonKernel:
         csr: "CSRAdjacency",
         sources: Sequence[int],
         stats: "SearchStats",
-    ) -> Tuple[List[float], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         source_list = sorted(set(sources))
-        dist = self.sssp(csr, source_list, None, stats)
+        dist = self.sssp(csr, source_list, stats)
         indptr, targets, costs = csr.indptr, csr.targets, csr.costs
         n = csr.num_nodes
         label = [-1] * n
+        pred = [-1] * n
+        step = [0.0] * n
         for s in source_list:
             label[s] = s
         # Pure post-pass: process reachable nodes in settle order
@@ -251,12 +237,14 @@ class PythonKernel:
         # earlier (positive costs), so its label is final when read, and
         # the minimum over tight in-edges is the lexicographically
         # smallest source over tight shortest paths — by induction on
-        # the (acyclic) tight-edge DAG.
+        # the (acyclic) tight-edge DAG.  The same tight-edge test picks
+        # the canonical predecessor: the smallest (dist[u], u).
         order = sorted(
             (dist[v], v) for v in range(n) if dist[v] < INF and label[v] < 0
         )
         for d, v in order:
             best = -1
+            parent = -1
             for i in range(indptr[v], indptr[v + 1]):
                 u = targets[i]
                 du = dist[u]
@@ -267,44 +255,17 @@ class PythonKernel:
                     lu = label[u]
                     if lu >= 0 and (best < 0 or lu < best):
                         best = lu
+                    if parent < 0 or (du, u) < (dist[parent], parent):
+                        parent = u
+                        step[v] = costs[i]
             label[v] = best
-        return dist, label
-
-    def forward_replay(
-        self,
-        csr: "CSRAdjacency",
-        distance: Sequence[float],
-        targets: Sequence[int],
-        stats: "SearchStats",
-    ) -> List[float]:
-        indptr, tgt, costs = csr.indptr, csr.targets, csr.costs
-        dist = distance
-        out: List[float] = []
-        for t in targets:
-            if dist[t] == INF:
-                out.append(INF)
-                continue
-            acc = 0.0
-            cur = t
-            while dist[cur] > 0.0:
-                dc = dist[cur]
-                best: Optional[Tuple[float, int]] = None
-                best_cost = 0.0
-                for i in range(indptr[cur], indptr[cur + 1]):
-                    u = tgt[i]
-                    du = dist[u]
-                    if du < dc and du + costs[i] <= dc:
-                        key = (du, u)
-                        if best is None or key < best:
-                            best = key
-                            best_cost = costs[i]
-                # A converged field guarantees a tight predecessor for
-                # every reachable non-source node.
-                assert best is not None
-                acc = acc + best_cost
-                cur = best[1]
-            out.append(acc)
-        return out
+            pred[v] = parent
+        return (
+            np.array(dist, dtype=np.float64),
+            np.array(label, dtype=np.int64),
+            np.array(pred, dtype=np.int64),
+            np.array(step, dtype=np.float64),
+        )
 
     def batch_query_rows(
         self,
@@ -347,8 +308,7 @@ class PythonKernel:
                     nd = d + costs[j]
                     # Push gate at the row's radius: nothing past the
                     # query's own nearest stop can precede it in settle
-                    # order, so dropping it loses nothing — balls never
-                    # truncate.
+                    # order, so dropping it loses nothing.
                     if nd <= bound and nd < dist.get(x, INF):
                         dist[x] = nd
                         heapq.heappush(heap, (nd, x))

@@ -1,14 +1,14 @@
 """Vectorized CSR backend, the default search kernel.
 
 ``VectorizedKernel`` replaces the per-node heap loop of the dense
-primitives (``sssp`` — single-source, multi-source and bounded — the
+primitives (``sssp`` — single- and multi-source — the label field, the
 ``nodes_within`` cost ball and the batched query-rooted balls) with
 array-at-a-time computation over the CSR's numpy views: the views are
 wrapped zero-copy into a ``scipy.sparse.csr_matrix`` and handed to the
 compiled Dijkstra of ``scipy.sparse.csgraph`` — ``min_only=True``
 makes multi-source a single sweep, and ``limit`` early-terminates
-bounded searches with the same inclusive ``d <= bound`` semantics as
-the reference backend.
+the balls with the same inclusive ``d <= bound`` semantics as the
+reference backend.
 
 The query-rooted balls of Algorithm 2 are **tile-local**: rows are
 grouped by a spatial tile of their query node, and each group runs one
@@ -31,11 +31,10 @@ Why the results are bit-identical to the reference heapq Dijkstra
   anything else) so the reference settle order is exactly ``sorted
   (distance, node)`` — which is how ordered outputs are produced here
   (``np.lexsort``);
-* the ``settled`` / ``truncated`` counters count *nodes* (reachable
-  in-bound vs. one-hop-beyond fringe), which the contract proves
-  independent of relaxation order — they are recomputed from the
-  converged distance array.  ``pushes`` is backend-defined (see
-  ``base``): this backend reports the settled+fringe node count.
+* the ``settled`` counter counts *nodes* (the reached set), which the
+  contract proves independent of relaxation order — it is recomputed
+  from the converged distance array.  ``pushes`` is backend-defined
+  (see ``base``): this backend reports the reached-node count.
 
 The early-terminating primitives (``path``, ``distance``,
 ``query_search``) are inherited from the python backend unchanged: they
@@ -46,7 +45,7 @@ relaxation has nothing to amortise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -68,46 +67,15 @@ class VectorizedKernel(PythonKernel):
         self,
         csr: "CSRAdjacency",
         sources: Sequence[int],
-        max_cost: Optional[float],
         stats: "SearchStats",
     ) -> List[float]:
-        seeds = np.unique(np.asarray(list(sources), dtype=np.int64))
-        stats.searches += 1
-        n = csr.num_nodes
-        if max_cost is not None and max_cost < 0.0:
-            # Reference semantics: every seed pops beyond the bound and
-            # truncates; the final sweep masks the whole row to INF.
-            stats.truncated += int(seeds.size)
-            stats.pushes += int(seeds.size)
-            return [INF] * n
-        dist = _scipy_dijkstra(
-            _as_scipy_graph(csr),
-            directed=True,
-            indices=seeds,
-            min_only=True,
-            limit=np.inf if max_cost is None else max_cost,
-        )
-        within = np.flatnonzero(np.isfinite(dist))
-        settled = int(within.size)
-        stats.settled += settled
-        if max_cost is not None:
-            # The truncated fringe: nodes one relaxation beyond the
-            # in-bound set (the reference pushes them, pops them once
-            # beyond the bound, and counts them without expanding).
-            edge_idx = _edge_indices(csr.np_indptr, within)
-            tgt = csr.np_targets[edge_idx]
-            fringe = np.unique(tgt[~np.isfinite(dist[tgt])])
-            stats.truncated += int(fringe.size)
-            stats.pushes += settled + int(fringe.size)
-        else:
-            stats.pushes += settled
-        return dist.tolist()
+        return _sweep(csr, sources, stats).tolist()
 
     def nodes_within(
         self,
         csr: "CSRAdjacency",
         source: int,
-        max_cost: float,
+        radius: float,
         stats: "SearchStats",
     ) -> List[Tuple[int, float]]:
         stats.searches += 1
@@ -116,7 +84,7 @@ class VectorizedKernel(PythonKernel):
             directed=True,
             indices=np.asarray([source], dtype=np.int64),
             min_only=True,
-            limit=max_cost + EPSILON,
+            limit=radius + EPSILON,
         )
         reached = np.flatnonzero(np.isfinite(dist))
         stats.pushes += int(reached.size)
@@ -132,47 +100,19 @@ class VectorizedKernel(PythonKernel):
         csr: "CSRAdjacency",
         sources: Sequence[int],
         stats: "SearchStats",
-    ) -> Tuple[List[float], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         source_list = sorted(set(sources))
         if source_list:
             # One multi-source sweep: a single compiled csgraph call
             # (min_only), bit-identical per the sssp contract.
-            distance = self.sssp(csr, source_list, None, stats)
+            distance = _sweep(csr, source_list, stats)
         else:
             stats.searches += 1  # the reference empty-heap search
-            distance = [INF] * csr.num_nodes
-        return distance, _derive_labels(csr, distance, source_list)
-
-    def forward_replay(
-        self,
-        csr: "CSRAdjacency",
-        distance: Sequence[float],
-        targets: Sequence[int],
-        stats: "SearchStats",
-    ) -> List[float]:
-        nodes = np.asarray(list(targets), dtype=np.int64)
-        if not nodes.size:
-            return []
-        dist = np.asarray(distance, dtype=np.float64)
-        pred, step = _tight_predecessors(csr, dist)
-        reachable = np.isfinite(dist[nodes])
-        acc = np.zeros(nodes.size)
-        cur = nodes.copy()
-        active = reachable & (dist[nodes] > 0.0)
-        # All walks step toward their source simultaneously; each round
-        # performs the same scalar addition the reference walk performs
-        # at that depth, so the accumulated floats are identical.
-        while True:
-            idx = np.flatnonzero(active)
-            if not idx.size:
-                break
-            here = cur[idx]
-            acc[idx] += step[here]
-            nxt = pred[here]
-            cur[idx] = nxt
-            active[idx] = dist[nxt] > 0.0
-        out = np.where(reachable, acc, INF)
-        return out.tolist()
+            distance = np.full(csr.num_nodes, INF)
+        tight = _tight_edges(csr, distance)
+        pred, step = _tight_predecessors(csr.num_nodes, distance, tight)
+        label = _derive_labels(csr.num_nodes, tight, source_list)
+        return distance, label, pred, step
 
     def batch_query_rows(
         self,
@@ -189,10 +129,10 @@ class VectorizedKernel(PythonKernel):
         their query node, radius-sorted within a tile.  For each group
         one bounded ``min_only`` sweep at the group's largest push gate
         ``R`` takes the union ball ``U`` of its rows — a scheduling
-        step that adds nothing to ``searches``/``settled``/
-        ``truncated`` — and one dense csgraph call then runs from the
-        group's rows on the subgraph induced by ``U``, so a row costs
-        ``O(|U|)`` instead of ``O(|V|)``.  A group whose rows × ``|U|``
+        step that adds nothing to ``searches``/``settled`` — and one
+        dense csgraph call then runs from the group's rows on the
+        subgraph induced by ``U``, so a row costs ``O(|U|)`` instead of
+        ``O(|V|)``.  A group whose rows × ``|U|``
         block exceeds :data:`CELL_BUDGET` is split in two by radius and
         retried.
 
@@ -379,19 +319,20 @@ def _tight_edges(
 
 
 def _derive_labels(
-    csr: "CSRAdjacency", distance: Sequence[float], sources: Sequence[int]
-) -> List[int]:
+    n: int,
+    tight: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    sources: Sequence[int],
+) -> np.ndarray:
     """The lexicographic-min source label of every node over the tight
-    DAG of ``distance`` — iterative scatter-min label propagation (the
-    DAG is acyclic in strictly increasing distance, so the fixed point
-    is unique and equals the reference backend's one-pass derivation)."""
-    n = csr.num_nodes
-    dist = np.asarray(distance, dtype=np.float64)
+    DAG ``tight`` of a field over ``n`` nodes — iterative scatter-min
+    label propagation (the DAG is acyclic in strictly increasing
+    distance, so the fixed point is unique and equals the reference
+    backend's one-pass derivation); ``-1`` where no source reaches."""
     label = np.full(n, n, dtype=np.int64)
     if sources:
         src = np.asarray(list(sources), dtype=np.int64)
         label[src] = src
-    tu, tv, _ = _tight_edges(csr, dist)
+    tu, tv, _ = tight
     if tu.size:
         order = np.argsort(tv, kind="stable")
         tu = tu[order]
@@ -406,17 +347,18 @@ def _derive_labels(
             if not bool(upd.any()):
                 break
             label[groups[upd]] = mins[upd]
-    return np.where(label == n, -1, label).tolist()
+    label[label == n] = -1
+    return label
 
 
 def _tight_predecessors(
-    csr: "CSRAdjacency", dist: np.ndarray
+    n: int, dist: np.ndarray, tight: Tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Canonical predecessor of every reachable non-source node — the
-    tight in-neighbour minimising ``(dist[u], u)`` — and the cost of
-    that arc, as dense arrays (``-1`` / ``0.0`` where undefined)."""
-    n = csr.num_nodes
-    tu, tv, tc = _tight_edges(csr, dist)
+    tight in-neighbour minimising ``(dist[u], u)`` over the tight arcs
+    ``tight`` of ``dist`` — and the cost of that arc, as dense arrays
+    (``-1`` / ``0.0`` where undefined)."""
+    tu, tv, tc = tight
     pred = np.full(n, -1, dtype=np.int64)
     step = np.zeros(n)
     if tu.size:
@@ -426,6 +368,26 @@ def _tight_predecessors(
         pred[tv_s[first]] = tu[order][first]
         step[tv_s[first]] = tc[order][first]
     return pred, step
+
+
+def _sweep(
+    csr: "CSRAdjacency", sources: Sequence[int], stats: "SearchStats"
+) -> np.ndarray:
+    """One compiled ``min_only`` csgraph Dijkstra from ``sources``: the
+    converged multi-source row as a float64 array.  Every reached node
+    settles once, so ``settled`` (and this backend's ``pushes``) is the
+    reached count."""
+    stats.searches += 1
+    dist = _scipy_dijkstra(
+        _as_scipy_graph(csr),
+        directed=True,
+        indices=np.unique(np.asarray(list(sources), dtype=np.int64)),
+        min_only=True,
+    )
+    reached = int(np.count_nonzero(np.isfinite(dist)))
+    stats.settled += reached
+    stats.pushes += reached
+    return dist
 
 
 def _as_scipy_graph(csr: "CSRAdjacency") -> Any:

@@ -16,7 +16,7 @@ import math
 from typing import Any, Dict, Iterable, Mapping, Optional
 
 #: The counter fields of one ``SearchStats`` block, in declaration order.
-SEARCH_STAT_FIELDS = ("searches", "cache_hits", "settled", "pushes", "truncated")
+SEARCH_STAT_FIELDS = ("searches", "cache_hits", "settled", "pushes")
 
 
 class Counter:

@@ -245,14 +245,13 @@ class Tenant:
                 "misses": info.misses,
                 "hit_rate": info.hit_rate,
                 "evictions": info.evictions,
-                "invalidations": info.invalidations,
             },
             "plans_served": self.plans_served,
             "updates_applied": self.updates_applied,
             "warm": self.preprocess is not None,
         }
-        for field in ("searches", "cache_hits", "settled", "pushes", "truncated"):
-            block[f"search.total.{field}"] = getattr(total, field)
+        for field, value in total.as_dict().items():
+            block[f"search.total.{field}"] = value
         return block
 
 

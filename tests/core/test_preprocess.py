@@ -44,8 +44,7 @@ class TestExample7:
     def test_utility_order(self, pre):
         """The priority queue stores v3, v4, v5, v1, v2 in decreasing
         utility order (Example 7's closing sentence)."""
-        order = [v for _, v in pre.utility_order()]
-        assert order == [V3, V4, V5, V1, V2]
+        assert pre.utility_order.stop_list == [V3, V4, V5, V1, V2]
 
 
 class TestMechanics:
@@ -110,7 +109,7 @@ class TestMechanics:
         the exact single-stop utilities (spot-checked on the top 10)."""
         instance = small_city.instance(alpha=1.0)
         pre = preprocess_queries(instance)
-        top = [v for _, v in pre.utility_order()[:10]]
+        top = pre.utility_order.stop_list[:10]
         for v in top:
             if instance.is_candidate[v]:
                 assert pre.initial_utility[v] == pytest.approx(
@@ -149,7 +148,10 @@ class TestStrategies:
         assert pre.rnn == oracle.rnn
         assert pre.initial_utility == oracle.initial_utility
         assert list(pre.rnn) == list(oracle.rnn)
-        assert pre.utility_order() == oracle.utility_order()
+        assert pre.utility_order.stop_list == oracle.utility_order.stop_list
+        assert np.array_equal(
+            pre.utility_order.utilities, oracle.utility_order.utilities
+        )
 
     def test_inverted_accounting(self, pre):
         # One field search plus one query-rooted ball per distinct query.

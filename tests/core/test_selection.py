@@ -207,13 +207,14 @@ class TestExhaustiveTieBreak:
             )
 
     def _pick(self, gains, prices, order):
-        from repro.core.selection import SelectionTrace, _pick_exhaustive, _UtilityOrder
+        from repro.core.preprocess import UtilityOrder
+        from repro.core.selection import SelectionTrace, _pick_exhaustive
 
         state = self._FakeState(gains, prices)
         config = _config(use_lazy_selection=False, use_threshold_pruning=False)
         trace = SelectionTrace()
         stops = [stop for _, stop in order]
-        utility_order = _UtilityOrder(
+        utility_order = UtilityOrder(
             np.array([utility for utility, _ in order]),
             np.array(stops, dtype=np.int64),
             stops,

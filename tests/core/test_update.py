@@ -194,3 +194,28 @@ class TestBulkRetirement:
             value = updated.initial_utility[candidate]
             assert value == 0.0
             assert str(value) == "0.0"  # exactly +0.0, not -0.0 or dust
+
+
+class TestInverseUpdate:
+    def test_update_then_inverse_restores_exactly(self, small_city):
+        """An update followed by its inverse restores the utilities and
+        the table bit for bit: every row the update touches is refolded
+        from its entries, so no float drift survives the round trip."""
+        instance = small_city.instance(alpha=25.0)
+        pre = preprocess_queries(instance)
+        nodes = list(instance.queries.nodes)
+        unused = next(
+            v for v in instance.candidates if v not in instance.query_counts
+        )
+        grown, updated, stats = update_preprocess(
+            instance, pre, QuerySet(instance.network, nodes + [196, 359, unused])
+        )
+        assert stats.rescaled_nodes == 2 and stats.added_nodes == 1
+        _, restored, stats = update_preprocess(
+            grown, updated, QuerySet(instance.network, nodes)
+        )
+        assert stats.rescaled_nodes == 2 and stats.removed_nodes == 1
+        assert restored.initial_utility == pre.initial_utility
+        assert restored.nn_distance == pre.nn_distance
+        for a, b in zip(restored.table, pre.table):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -1,4 +1,4 @@
-"""CSR adjacency: construction, ordering, and version tracking."""
+"""CSR adjacency: construction and row ordering."""
 
 import pytest
 
@@ -41,29 +41,6 @@ def test_num_directed_edges_is_twice_undirected(small_network):
     csr = CSRAdjacency(small_network)
     assert csr.num_directed_edges == 2 * len(list(small_network.edges()))
     assert csr.indptr[-1] == csr.num_directed_edges
-
-
-def test_snapshot_goes_stale_on_add_edge(small_network):
-    csr = CSRAdjacency(small_network)
-    assert csr.is_current()
-    small_network.add_edge(1, 3, 0.7)
-    assert not csr.is_current()
-    fresh = CSRAdjacency(small_network)
-    assert fresh.is_current()
-    assert fresh.version == small_network.version
-    assert fresh.num_directed_edges == csr.num_directed_edges + 2
-
-
-def test_snapshot_goes_stale_on_set_edge_cost(small_network):
-    csr = CSRAdjacency(small_network)
-    small_network.set_edge_cost(0, 1, 9.0)
-    assert not csr.is_current()
-    fresh = CSRAdjacency(small_network)
-    row = [
-        (fresh.targets[i], fresh.costs[i])
-        for i in range(fresh.indptr[0], fresh.indptr[1])
-    ]
-    assert (1, 9.0) in row
 
 
 def test_network_accessor(small_network):

@@ -1,8 +1,6 @@
 """Unit tests for the Dijkstra search family of :class:`SearchEngine`,
 including the paper's worked distances on the Figure 2 network."""
 
-import math
-
 import pytest
 
 from repro.exceptions import GraphError
@@ -23,12 +21,6 @@ class TestShortestPathCosts:
 
     def test_source_distance_zero(self, toy_network):
         assert engine_for(toy_network).sssp(V1)[V1] == 0.0
-
-    def test_max_cost_truncation(self, toy_network):
-        dist = engine_for(toy_network).sssp(V1, max_cost=8.0)
-        assert dist[V3] == pytest.approx(8.0)
-        assert math.isinf(dist[V4])
-        assert math.isinf(dist[V5])
 
     def test_line_network_costs(self, line_network):
         dist = engine_for(line_network).sssp(0)
@@ -131,11 +123,6 @@ class TestMultiSource:
         singles = [engine.sssp(s) for s in sources]
         for v in range(8):
             assert combined[v] == pytest.approx(min(s[v] for s in singles))
-
-    def test_max_cost(self, toy_network):
-        dist = engine_for(toy_network).multi_source([V1], max_cost=4.0)
-        assert dist[V2] == pytest.approx(4.0)
-        assert math.isinf(dist[V3])
 
     def test_duplicate_sources(self, toy_network):
         dist = engine_for(toy_network).multi_source([V1, V1, V1])

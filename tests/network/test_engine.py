@@ -1,5 +1,5 @@
-"""SearchEngine: agreement with networkx, caching, statistics
-accounting, and invalidation on graph mutation."""
+"""SearchEngine: agreement with networkx, caching, and statistics
+accounting."""
 
 import math
 
@@ -68,19 +68,6 @@ def test_sssp_matches_networkx(city_index):
 
 
 @pytest.mark.parametrize("city_index", [0, 1, 2])
-def test_bounded_sssp_matches_networkx(city_index):
-    network = _cities()[city_index]
-    engine = SearchEngine(network)
-    graph = _nx_graph(network)
-    source = network.num_nodes // 3
-    for bound in (0.0, 0.5, 2.0, 10.0):
-        _assert_row_matches(
-            engine.sssp(source, max_cost=bound),
-            nx.single_source_dijkstra_path_length(graph, source, cutoff=bound),
-        )
-
-
-@pytest.mark.parametrize("city_index", [0, 1, 2])
 def test_multi_source_matches_networkx(city_index):
     network = _cities()[city_index]
     engine = SearchEngine(network)
@@ -89,10 +76,6 @@ def test_multi_source_matches_networkx(city_index):
     _assert_row_matches(
         engine.multi_source(sources),
         nx.multi_source_dijkstra_path_length(graph, set(sources)),
-    )
-    _assert_row_matches(
-        engine.multi_source(sources, max_cost=1.5),
-        nx.multi_source_dijkstra_path_length(graph, set(sources), cutoff=1.5),
     )
 
 
@@ -135,18 +118,6 @@ def test_sssp_row_is_cached(engine):
     second = engine.sssp(0)
     assert second is first
     assert engine.cache_info().hits == 1
-
-
-def test_bounded_row_derived_from_cached_full_row(engine):
-    engine.sssp(0)
-    stats_before = engine.total_stats()
-    bounded = engine.sssp(0, max_cost=1.0)
-    # Deriving the bounded row from the cached full row runs no search.
-    assert engine.total_stats().searches == stats_before.searches
-    assert engine.cache_info().hits >= 1
-    assert all(
-        d == math.inf or d <= 1.0 + 1e-9 for d in bounded
-    )
 
 
 def test_lru_eviction_with_tiny_cache(network):
@@ -200,11 +171,6 @@ def test_stats_accumulate_per_phase(engine):
     assert total.cache_hits == 1
 
 
-def test_truncated_counter_on_bounded_search(engine):
-    engine.sssp(0, max_cost=0.3, phase="bounded")
-    assert engine.stats["bounded"].truncated > 0
-
-
 def test_snapshot_delta(engine):
     engine.sssp(0, phase="a")
     base = engine.snapshot()
@@ -215,44 +181,14 @@ def test_snapshot_delta(engine):
 
 
 def test_stats_arithmetic():
-    a = SearchStats(searches=2, cache_hits=1, settled=10, pushes=12, truncated=3)
-    b = SearchStats(searches=1, cache_hits=0, settled=4, pushes=5, truncated=1)
+    a = SearchStats(searches=2, cache_hits=1, settled=10, pushes=12)
+    b = SearchStats(searches=1, cache_hits=0, settled=4, pushes=5)
     s = a + b
     assert (s.searches, s.settled) == (3, 14)
     d = s - b
     assert d.as_dict() == a.as_dict()
     assert bool(SearchStats()) is False
     assert bool(a) is True
-
-
-# ----------------------------------------------------------------------
-# Invalidation on graph mutation
-# ----------------------------------------------------------------------
-
-
-def test_mutation_invalidates_cache_and_rebuilds_csr():
-    coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)]
-    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
-    network = RoadNetwork(coords, edges)
-    engine = SearchEngine(network)
-    before = engine.sssp(0)
-    assert before[3] == pytest.approx(3.0)
-    network.add_edge(0, 3, 0.5)
-    after = engine.sssp(0)
-    assert after[3] == pytest.approx(0.5)
-    assert after == SearchEngine(network).sssp(0)
-    assert engine.cache_info().invalidations == 1
-
-
-def test_edge_recost_invalidates():
-    coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-    edges = [(0, 1, 1.0), (1, 2, 1.0)]
-    network = RoadNetwork(coords, edges)
-    engine = SearchEngine(network)
-    assert engine.distance(0, 2) == pytest.approx(2.0)
-    network.set_edge_cost(1, 2, 5.0)
-    assert engine.distance(0, 2) == pytest.approx(6.0)
-    assert engine.distance(0, 2) == SearchEngine(network).distance(0, 2)
 
 
 def test_engine_for_is_shared_per_network(network):

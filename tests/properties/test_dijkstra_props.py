@@ -160,43 +160,3 @@ def test_adding_sources_never_increases_distance(network, seed):
             assert incremental.distance[v] <= previous[v] + 1e-12
         previous = list(incremental.distance)
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    network=connected_networks(),
-    seed=st.integers(0, 10 ** 6),
-    max_cost=st.floats(min_value=0.0, max_value=20.0),
-)
-def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost):
-    """The cost-bounded search must return exactly the unbounded
-    distances for nodes within the bound and inf beyond it."""
-    source = seed % network.num_nodes
-    engine = engine_for(network)
-    full = engine.sssp(source)
-    bounded = engine.sssp(source, max_cost=max_cost)
-    for v in network.nodes():
-        # The bound is inclusive and exact: a node 1 ulp past it is out.
-        if full[v] <= max_cost:
-            assert bounded[v] == full[v]
-        else:
-            assert bounded[v] == math.inf
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    network=connected_networks(),
-    seed=st.integers(0, 10 ** 6),
-    max_cost=st.floats(min_value=0.0, max_value=20.0),
-)
-def test_bounded_multi_source_agrees_with_unbounded(network, seed, max_cost):
-    n = network.num_nodes
-    sources = sorted({seed % n, (seed // 5) % n, (seed // 23) % n})
-    engine = engine_for(network)
-    full = engine.multi_source(sources)
-    bounded = engine.multi_source(sources, max_cost=max_cost)
-    for v in network.nodes():
-        # The bound is inclusive and exact: a node 1 ulp past it is out.
-        if full[v] <= max_cost:
-            assert bounded[v] == full[v]
-        else:
-            assert bounded[v] == math.inf

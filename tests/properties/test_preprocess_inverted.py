@@ -72,7 +72,8 @@ def assert_equal_preprocessing(per_query, inverted):
         assert per_query.rnn[candidate] == inverted.rnn[candidate]
     for a, b in zip(per_query.table, inverted.table):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert per_query.utility_order() == inverted.utility_order()
+    for a, b in zip(per_query.utility_order, inverted.utility_order):
+        assert np.array_equal(a, b)
 
 
 class TestStrategyEquivalence:
@@ -158,8 +159,8 @@ class TestAccounting:
         field = engine.multi_source_labels(
             [i for i, f in enumerate(instance.is_existing) if f]
         )
-        nn_forward = engine.label_forward_distances(field, nodes)
-        labels = [field.label[node] for node in nodes]
+        nn_forward = field.forward_distances(nodes)
+        labels = field.label[nodes].tolist()
         _counts, _members, _dists, settled = engine.batch_query_rows(
             nodes, nn_forward, labels, instance.is_candidate
         )

@@ -211,7 +211,10 @@ def test_array_rqueue_equals_heap_oracle(seed, switches, monkeypatch):
     )
     rewritten = run_selection(instance, pre, config)
 
-    pairs = pre.utility_order()
+    pairs = sorted(
+        ((u, v) for v, u in pre.initial_utility.items()),
+        key=lambda item: (-item[0], item[1]),
+    )
     monkeypatch.setattr(
         selection,
         "_pick_lazy",
